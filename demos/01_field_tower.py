@@ -5,7 +5,7 @@ read as integers, and a + e*b in GF(q^2) is packed as a + q*b.  All
 arithmetic is exact table lookup.
 """
 
-from unital_lab import LogExpBackend, build_field_ctx
+from unital_lab import build_field_ctx
 
 # A context fixes the tower deterministically: the minimal irreducible for
 # GF(q) and the minimal non-square w with e^2 = w.
@@ -30,9 +30,3 @@ for text in ["2", "e", "1+e"]:
 
 print("\nSquares of GF(3):", sorted({ctx.qmul(a, a) for a in ctx.subfield_elements()}))
 print("is_square over GF(3):", {a: ctx.is_square(a) for a in ctx.subfield_elements()})
-
-# The optional discrete-log backend reproduces the default tables exactly.
-backend = LogExpBackend(ctx)
-assert (backend.mul_table() == ctx.mul_t).all()
-print(f"\nlog/exp backend: generator {ctx.format_fq2(backend.generator)}, "
-      "multiplication table identical to the polynomial route")

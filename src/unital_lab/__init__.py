@@ -22,7 +22,7 @@ from .errors import (
     StructuralViolation,
     TheoremViolation,
 )
-from .fields import FieldCtx, LogExpBackend, build_field_ctx
+from .fields import FieldCtx, build_field_ctx
 from .pedals import (
     Conic,
     ConicFitResult,
@@ -35,7 +35,6 @@ from .pedals import (
     feet_of,
     feet_of_many,
     foot_parameters,
-    foot_point,
     foot_unital_r,
     is_single_arc,
     line_pedal_census,

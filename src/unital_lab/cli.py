@@ -46,18 +46,17 @@ from .pedals import (
     canonical_base_point,
     feet_closed_form,
     feet_of,
+    feet_of_many,
     is_single_arc,
     line_pedal_census,
     secant_partition,
     trace_classes,
     two_arc_partition,
-    _census_of_point_set,
 )
 from .plane import LineId, PointId, ProjectivePlane
 from .unitals import UnitalModel, build_obm_unital, valid_parameter_pairs, validate_params
 
 ENV_PREFIX = "UNITAL_LAB_"
-PROBLEMS = ("four-lines", "conics", "orbit-census", "secant-partition", "incidence-structure")
 # Sweep caps: exhaustive external-point work only at desk scale.
 FULL_POINT_SWEEP_MAX_Q = 5
 SECANT_SAMPLE = 200
@@ -111,7 +110,7 @@ def _build_parser() -> _Parser:
             help="canonical base point [0, lambda*e, 1]",
         )
         cmd.add_argument("--point", default=_env("point"), help="base point X,Y,Z")
-        cmd.add_argument("--problem", choices=PROBLEMS, default=_env("problem"))
+        cmd.add_argument("--problem", choices=tuple(_SCANS), default=_env("problem"))
         cmd.add_argument(
             "--format", dest="fmt", choices=("json", "csv"), default=_env("format", "json")
         )
@@ -152,18 +151,20 @@ def _init_worker(p: int, n: int, w: int | None) -> None:
     _WORKER["plane"] = plane
 
 
-def _run_chunked(config: RunConfig, items: list, chunk_fn) -> list:
+def _run_chunked(ctx, config: RunConfig, items: list, chunk_fn) -> list:
     """Run chunk_fn over item chunks, in-process or in a pool, and merge the
-    (key, record) results in canonical key order."""
+    (key, record) results in canonical key order.  The in-process worker
+    context is reused only for the same (p, n, w) as ctx."""
     if config.jobs == 1 or len(items) <= 1:
-        if "ctx" not in _WORKER or _WORKER["ctx"].p != config.p or _WORKER["ctx"].n != config.n:
-            _init_worker(config.p, config.n, config.w)
+        cached = _WORKER.get("ctx")
+        if cached is None or (cached.p, cached.n, cached.w) != (ctx.p, ctx.n, ctx.w):
+            _init_worker(ctx.p, ctx.n, ctx.w)
         keyed = chunk_fn(items)
     else:
         chunk = max(1, len(items) // (config.jobs * 4))
         chunks = [items[i : i + chunk] for i in range(0, len(items), chunk)]
         with mp.get_context("fork").Pool(
-            config.jobs, initializer=_init_worker, initargs=(config.p, config.n, config.w)
+            config.jobs, initializer=_init_worker, initargs=(ctx.p, ctx.n, ctx.w)
         ) as pool:
             keyed = [rec for part in pool.map(chunk_fn, chunks) for rec in part]
     keyed.sort(key=lambda kr: kr[0])
@@ -226,12 +227,10 @@ def _verify_chunk(pairs) -> list:
         checks["minimal"] = blocking.minimal
         checks["attains_bound"] = blocking.attains_bound
         pts, formula = model.tangent_lines_closed_form()
-        rows = plane.incidence[pts]
-        flags = model.line_counts[rows] == 1
-        ok = bool(np.all(flags.sum(axis=1) == 1))
-        if ok:
-            oracle = rows[flags]
-            ok = bool(np.array_equal(oracle, formula))
+        try:
+            ok = bool(np.array_equal(model.touch_points[formula], pts))
+        except StructuralViolation:  # some point lies on no or several tangents
+            ok = False
         checks["tangent_formula_matches_oracle"] = ok
         rec["checks"] = checks
         rec["status"] = "pass" if all(checks.values()) else "fail"
@@ -242,7 +241,7 @@ def _verify_chunk(pairs) -> list:
 def cmd_verify(config: RunConfig) -> tuple[dict, int]:
     ctx = build_field_ctx(config.p, config.n, config.w)
     pairs = _pair_list(ctx, config)
-    records = _run_chunked(config, pairs, _verify_chunk)
+    records = _run_chunked(ctx, config, pairs, _verify_chunk)
     summary = {
         "pass": sum(1 for r in records if r.get("status") == "pass"),
         "fail": sum(1 for r in records if r.get("status") == "fail"),
@@ -286,7 +285,21 @@ def _resolve_base(ctx, plane, model, config: RunConfig):
     return base, lam
 
 
-def _pedal_payload(ctx, plane, model, base, lam, census_wanted=True) -> dict:
+def _arc_report(model, pedal) -> dict:
+    """Two-arc split of a pedal, the single-arc flag and a conic fit per part."""
+    parts = two_arc_partition(model, pedal)
+    return {
+        "parts": [len(parts[0]), len(parts[1])],
+        "arc_checks": True,  # two_arc_partition would have raised otherwise
+        "single_arc": is_single_arc(model, pedal),
+        "conic_fit": [
+            (fit.contained if fit.status == "ok" else fit.status)
+            for fit in (arc_in_conic(model.plane, part) for part in parts if part)
+        ],
+    }
+
+
+def _pedal_payload(ctx, plane, model, base, lam) -> dict:
     rec: dict = {"base_point": plane.format_point(base)}
     brute = feet_of(model, base)
     rec["feet"] = [plane.format_point(PointId(f)) for f in brute.feet]
@@ -301,22 +314,13 @@ def _pedal_payload(ctx, plane, model, base, lam, census_wanted=True) -> dict:
         rec["foot_params"] = [ctx.format_fq2(x) for x in closed.foot_params]
         rec["trace_classes"] = {
             str(t): [ctx.format_fq2(x) for x in cls]
-            for t, cls in trace_classes(model, lam).items()
+            for t, cls in trace_classes(model, lam, closed.foot_params).items()
         }
     off_linf = not plane.incident(base, plane.infinity_line)
-    if census_wanted and off_linf and not model.params.classical:
+    if off_linf and not model.params.classical:
         census = line_pedal_census(model, pedal)
         rec["census"] = census.as_json_dict(plane)
-        parts = two_arc_partition(model, pedal)
-        rec["arc_report"] = {
-            "parts": [len(parts[0]), len(parts[1])],
-            "arc_checks": True,  # two_arc_partition would have raised otherwise
-            "single_arc": is_single_arc(model, pedal),
-            "conic_fit": [
-                (fit.contained if fit.status == "ok" else fit.status)
-                for fit in (arc_in_conic(plane, part) for part in parts if part)
-            ],
-        }
+        rec["arc_report"] = _arc_report(model, pedal)
     return rec
 
 
@@ -388,6 +392,86 @@ def _scan_bases(model) -> np.ndarray:
     return np.unique(np.asarray(bases, dtype=np.int32))
 
 
+# A scan maps a model to its (sort key, record fields) pairs: one pair per
+# lambda, keyed by lambda, for the lambda-split problems; else one pair, key 0.
+
+
+def _lambdas(ctx) -> tuple[tuple[str, int], ...]:
+    return (("1", 1), ("w", ctx.w))
+
+
+def _scan_four_lines(model) -> list:
+    censuses = [
+        line_pedal_census(model, feet_closed_form(model, lam)) for _, lam in _lambdas(model.ctx)
+    ]
+    bases = _scan_bases(model)
+    feet, _ = feet_of_many(model, bases)
+    max_size = max(
+        [census.max_size() for census in censuses]
+        + [int(model.plane.line_counts(row).max()) for row in feet]
+    )
+    fields = {
+        "scanned_bases": int(bases.size),
+        "max_line_size": max_size,
+        "size4_lines_exist": max_size >= 4,
+        "lambda_censuses_equal": censuses[0].histogram == censuses[1].histogram,
+    }
+    return [(0, fields)]
+
+
+def _scan_conics(model) -> list:
+    return [
+        (lam, {"lambda": label, **_arc_report(model, feet_closed_form(model, lam))})
+        for label, lam in _lambdas(model.ctx)
+    ]
+
+
+def _scan_orbit_census(model) -> list:
+    out = []
+    for label, lam in _lambdas(model.ctx):
+        orbit = orbit_of_pedal(model, feet_closed_form(model, lam))
+        partition_lines_for_orbit(model, orbit)
+        census = orbit_line_census(model, orbit)
+        histogram = {str(s): c for s, c in sorted(census.histogram.items())}
+        out.append((lam, {"lambda": label, "census_histogram": histogram}))
+    return out
+
+
+def _scan_secant_partition(model) -> list:
+    ctx, plane = model.ctx, model.plane
+    secants = np.nonzero(model.line_counts == ctx.q + 1)[0]
+    if secants.size > SECANT_SAMPLE and ctx.q > FULL_POINT_SWEEP_MAX_Q:
+        step = secants.size // SECANT_SAMPLE
+        secants = secants[::step][:SECANT_SAMPLE]
+    witness = None
+    for lid in secants:
+        pairs = secant_partition(model, LineId(int(lid)))
+        if witness is None:
+            witness = {
+                "line": plane.format_line(LineId(int(lid))),
+                "pairs": [[plane.format_point(b), plane.format_point(f)] for b, f in pairs],
+            }
+    fields = {"secants_checked": int(secants.size), "all_partitioned": True, "witness": witness}
+    return [(0, fields)]
+
+
+def _scan_incidence_structure(model) -> list:
+    out = []
+    for label, lam in _lambdas(model.ctx):
+        orbit = orbit_of_pedal(model, feet_closed_form(model, lam))
+        out.append((lam, {"lambda": label, **orbit_incidence_stats(model, orbit)}))
+    return out
+
+
+_SCANS = {
+    "four-lines": _scan_four_lines,
+    "conics": _scan_conics,
+    "orbit-census": _scan_orbit_census,
+    "secant-partition": _scan_secant_partition,
+    "incidence-structure": _scan_incidence_structure,
+}
+
+
 def _scan_chunk(problem: str, tuples) -> list:
     ctx, plane = _WORKER["ctx"], _WORKER["plane"]
     out = []
@@ -395,85 +479,8 @@ def _scan_chunk(problem: str, tuples) -> list:
         model = _model_for(ctx, plane, alpha, beta)
         rec = _record_base(ctx, alpha, beta)
         rec["beta_real"] = model.params.beta_real
-        if problem == "four-lines":
-            bases = _scan_bases(model)
-            max_size = 0
-            lam_hists = []
-            for lam in (1, ctx.w):
-                census = line_pedal_census(model, feet_closed_form(model, lam))
-                lam_hists.append(census.histogram)
-                max_size = max(max_size, census.max_size())
-            in_set = np.zeros(plane.size, dtype=bool)
-            for base in bases:
-                pedal = feet_of(model, PointId(int(base)))
-                in_set[:] = False
-                in_set[np.asarray(pedal.feet, dtype=np.int32)] = True
-                counts = np.bincount(plane.incidence[np.asarray(pedal.feet)].ravel())
-                max_size = max(max_size, int(counts.max()))
-            rec.update(
-                scanned_bases=int(bases.size),
-                max_line_size=max_size,
-                size4_lines_exist=max_size >= 4,
-                lambda_censuses_equal=lam_hists[0] == lam_hists[1],
-            )
-            out.append(((alpha, beta, 0), rec))
-        elif problem == "conics":
-            for lam_label, lam in (("1", 1), ("w", ctx.w)):
-                pedal = feet_closed_form(model, lam)
-                parts = two_arc_partition(model, pedal)
-                fits = [
-                    (fit.contained if fit.status == "ok" else fit.status)
-                    for fit in (arc_in_conic(plane, part) for part in parts if part)
-                ]
-                r = dict(rec)
-                r.update(
-                    {
-                        "lambda": lam_label,
-                        "parts": [len(parts[0]), len(parts[1])],
-                        "arc_checks": True,
-                        "single_arc": is_single_arc(model, pedal),
-                        "conic_fit": fits,
-                    }
-                )
-                out.append(((alpha, beta, lam), r))
-        elif problem == "orbit-census":
-            for lam_label, lam in (("1", 1), ("w", ctx.w)):
-                orbit = orbit_of_pedal(model, feet_closed_form(model, lam))
-                partition_lines_for_orbit(model, orbit)
-                census = orbit_line_census(model, orbit)
-                r = dict(rec)
-                r.update(
-                    {
-                        "lambda": lam_label,
-                        "census_histogram": {str(s): c for s, c in sorted(census.histogram.items())},
-                    }
-                )
-                out.append(((alpha, beta, lam), r))
-        elif problem == "secant-partition":
-            secants = np.nonzero(model.line_counts == ctx.q + 1)[0]
-            if secants.size > SECANT_SAMPLE and ctx.q > FULL_POINT_SWEEP_MAX_Q:
-                step = secants.size // SECANT_SAMPLE
-                secants = secants[::step][:SECANT_SAMPLE]
-            witness = None
-            for lid in secants:
-                pairs = secant_partition(model, LineId(int(lid)))
-                if witness is None:
-                    witness = {
-                        "line": plane.format_line(LineId(int(lid))),
-                        "pairs": [
-                            [plane.format_point(b), plane.format_point(f)] for b, f in pairs
-                        ],
-                    }
-            rec.update(
-                secants_checked=int(secants.size), all_partitioned=True, witness=witness
-            )
-            out.append(((alpha, beta, 0), rec))
-        elif problem == "incidence-structure":
-            for lam_label, lam in (("1", 1), ("w", ctx.w)):
-                orbit = orbit_of_pedal(model, feet_closed_form(model, lam))
-                r = dict(rec)
-                r.update({"lambda": lam_label, **orbit_incidence_stats(model, orbit)})
-                out.append(((alpha, beta, lam), r))
+        for key, fields in _SCANS[problem](model):
+            out.append(((alpha, beta, key), {**rec, **fields}))
     return out
 
 
@@ -490,7 +497,7 @@ def cmd_scan(config: RunConfig) -> tuple[dict, int]:
     if config.beta is not None:
         b = ctx.parse_fq2(config.beta)
         tuples = [t for t in tuples if t[1] == b]
-    records = _run_chunked(config, tuples, functools.partial(_scan_chunk, config.problem))
+    records = _run_chunked(ctx, config, tuples, functools.partial(_scan_chunk, config.problem))
     summary = {"pass": len(records), "fail": 0, "skipped": 0, "tuples": len(tuples)}
     report = _report_envelope(f"scan:{config.problem}", ctx, config, records, summary)
     return report, 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TheoremViolation
-from .pedals import IntersectionCensus, PedalSet, _census_of_point_set, feet_of_many
+from .pedals import IntersectionCensus, PedalSet, feet_of_many
 from .plane import LineId, PointId
 from .unitals import UnitalModel
 
@@ -143,7 +143,7 @@ def partition_lines_for_orbit(U: UnitalModel, orbit: OrbitSet) -> list[LineId]:
 
 def orbit_line_census(U: UnitalModel, orbit: OrbitSet) -> IntersectionCensus:
     """Histogram of |line ∩ orbit| over every line of the plane."""
-    return _census_of_point_set(U.plane, orbit.points)
+    return IntersectionCensus(U.plane, orbit.points)
 
 
 def orbit_incidence_stats(U: UnitalModel, orbit: OrbitSet) -> dict:
@@ -152,7 +152,7 @@ def orbit_incidence_stats(U: UnitalModel, orbit: OrbitSet) -> dict:
     plus regularity flags (a tactical configuration needs both)."""
     plane = U.plane
     pts = np.asarray(orbit.points, dtype=np.int32)
-    counts = np.bincount(plane.incidence[pts].ravel(), minlength=plane.size)
+    counts = plane.line_counts(pts)
     sizes = counts[counts >= 2]
     degrees = (counts[plane.incidence[pts]] >= 2).sum(axis=1)
     size_dist = {int(s): int(c) for s, c in zip(*np.unique(sizes, return_counts=True))}

@@ -10,9 +10,7 @@ gather whole coordinate arrays through the operation tables:
   the codes below q, so an Fq code is already its own lift.
 
 The tables are built once per context by plain polynomial arithmetic (the
-table-free reference route, kept importable as ``fq_add_raw``/``fq_mul_raw``);
-:class:`LogExpBackend` is an optional discrete-log backend that must produce
-identical results and is cross-checked in the test suite.
+table-free reference route, kept importable as ``fq_add_raw``/``fq_mul_raw``).
 
 Text syntax for elements: GF(q) is a decimal code, GF(q^2) is ``A+e*B``
 (with the short forms ``A``, ``e``, ``e*B``, ``A+e`` accepted).
@@ -362,67 +360,3 @@ def build_field_ctx(p: int, n: int, w: int | None = None) -> FieldCtx:
     (unless a non-square override is supplied)."""
     return FieldCtx(p, n, w)
 
-
-class LogExpBackend:
-    """Optional discrete-log backend for GF(q^2) multiplication.
-
-    Built on exp/log tables of the minimal primitive element; must agree
-    with the default polynomial tables everywhere (the test suite compares
-    the full multiplication tables).
-    """
-
-    def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
-        order = ctx.q2 - 1
-        gen = None
-        for c in range(1, ctx.q2):
-            x, k = c, 1
-            while x != 1:
-                x = ctx.mul(x, c)
-                k += 1
-            if k == order:
-                gen = c
-                break
-        assert gen is not None
-        self.generator = gen
-        exp = np.zeros(order, dtype=np.int32)
-        log = np.zeros(ctx.q2, dtype=np.int32)
-        x = 1
-        for i in range(order):
-            exp[i] = x
-            log[x] = i
-            x = ctx.mul(x, gen)
-        self.exp_t = exp
-        self.log_t = log
-
-    def mul(self, x, y):
-        if x == 0 or y == 0:
-            return 0
-        order = self.ctx.q2 - 1
-        return int(self.exp_t[(self.log_t[x] + self.log_t[y]) % order])
-
-    def div(self, x, y):
-        if y == 0:
-            raise ZeroDivisionError("division by 0 in GF(q^2)")
-        if x == 0:
-            return 0
-        order = self.ctx.q2 - 1
-        return int(self.exp_t[(self.log_t[x] - self.log_t[y]) % order])
-
-    def pow(self, x, e: int):
-        if x == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("0 to a negative power in GF(q^2)")
-            return 0
-        order = self.ctx.q2 - 1
-        return int(self.exp_t[(self.log_t[x] * e) % order])
-
-    def mul_table(self) -> np.ndarray:
-        """Full multiplication table computed through logs (for cross-checks)."""
-        order = self.ctx.q2 - 1
-        nz = np.arange(1, self.ctx.q2)
-        table = np.zeros((self.ctx.q2, self.ctx.q2), dtype=np.int32)
-        table[1:, 1:] = self.exp_t[(self.log_t[nz][:, None] + self.log_t[nz][None, :]) % order]
-        return table

@@ -56,13 +56,34 @@ class PedalSet:
         return len(self.feet)
 
 
-@dataclass
 class IntersectionCensus:
-    """Histogram of |line ∩ S| over every line of the plane, with witnesses."""
+    """Histogram of |line ∩ S| over every line of the plane, from the plane's
+    per-line counts.  The witnesses (every line meeting S in two or more
+    points, with those points) are listed when first read."""
 
-    histogram: dict[int, int]
-    witnesses: dict[int, list[tuple[int, tuple[int, ...]]]]
-    lines_examined: int
+    def __init__(self, plane, points):
+        self.plane = plane
+        self.points = np.asarray(points, dtype=np.int32)
+        self.counts = plane.line_counts(self.points)
+        freq = np.bincount(self.counts)
+        self.histogram: dict[int, int] = {int(s): int(c) for s, c in enumerate(freq) if c}
+        self.lines_examined: int = plane.size
+        self._witnesses: dict[int, list[tuple[int, tuple[int, ...]]]] | None = None
+
+    @property
+    def witnesses(self) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
+        """{size: [(line, points of S on it), ...]} for sizes >= 2, lines in
+        id order and points in id order."""
+        if self._witnesses is None:
+            in_set = np.zeros(self.plane.size, dtype=bool)
+            in_set[self.points] = True
+            self._witnesses = {}
+            for size in sorted(s for s in self.histogram if s >= 2):
+                lines = np.nonzero(self.counts == size)[0]
+                rows = self.plane.incidence[lines]
+                pts = rows[in_set[rows]].reshape(lines.size, size)
+                self._witnesses[size] = list(zip(lines.tolist(), map(tuple, pts.tolist())))
+        return self._witnesses
 
     def support(self) -> set[int]:
         return {size for size, count in self.histogram.items() if count}
@@ -207,14 +228,6 @@ def foot_parameters(U: UnitalModel, lam: int) -> np.ndarray:
     return params
 
 
-def foot_point(U: UnitalModel, lam: int, x: int) -> PointId:
-    """Q_x = [x, T(alpha*x^2) - lam*e, 1]."""
-    ctx = U.ctx
-    tr = ctx.trace(ctx.mul(U.params.alpha, ctx.mul(x, x)))
-    y = ctx.sub(tr, ctx.pack(0, lam))
-    return U.plane.point_id(x, y, 1)
-
-
 def foot_unital_r(U: UnitalModel, lam: int, x: int) -> int:
     """The r with Q_x = [x, alpha*x^2 + beta*N(x) + r, 1]:
     r = lam*e + alpha*x^2 - conj(beta)*N(x), which lands in GF(q)."""
@@ -269,27 +282,6 @@ def feet_closed_form(U: UnitalModel, lam: int) -> PedalSet:
 # -- censuses -----------------------------------------------------------------
 
 
-def _census_of_point_set(plane, points, witness_min: int = 2) -> IntersectionCensus:
-    pts = np.asarray(points, dtype=np.int32)
-    counts = np.bincount(plane.incidence[pts].ravel(), minlength=plane.size)
-    freq = np.bincount(counts)
-    histogram = {int(s): int(c) for s, c in enumerate(freq) if c}
-    in_set = np.zeros(plane.size, dtype=bool)
-    in_set[pts] = True
-    witnesses: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for size in sorted(histogram):
-        if size < witness_min:
-            continue
-        entries = []
-        for lid in np.nonzero(counts == size)[0]:
-            row = plane.incidence[lid]
-            entries.append((int(lid), tuple(int(x) for x in row[in_set[row]])))
-        witnesses[size] = entries
-    return IntersectionCensus(
-        histogram=histogram, witnesses=witnesses, lines_examined=plane.size
-    )
-
-
 def line_pedal_census(U: UnitalModel, pedal: PedalSet) -> IntersectionCensus:
     """|line ∩ pedal| for every line of the plane.  Requires alpha != 0 and a
     base off the line at infinity; any size outside {0, 1, 2, 4} raises."""
@@ -297,7 +289,7 @@ def line_pedal_census(U: UnitalModel, pedal: PedalSet) -> IntersectionCensus:
     _require_external(U, pedal.base)
     if U.plane.incident(pedal.base, U.infinity_line):
         raise ValueError("census base point must not lie on the line at infinity")
-    census = _census_of_point_set(U.plane, pedal.feet)
+    census = IntersectionCensus(U.plane, pedal.feet)
     if not census.support() <= {0, 1, 2, 4}:
         bad = sorted(census.support() - {0, 1, 2, 4})
         raise TheoremViolation(f"pedal census support contains {bad}; expected within 0,1,2,4")
@@ -321,10 +313,14 @@ def trace_level_line(U: UnitalModel, lam: int, x: int) -> LineId:
     return U.plane.line_id(0, ctx.neg(1), c)
 
 
-def trace_classes(U: UnitalModel, lam: int) -> dict[int, tuple[int, ...]]:
-    """Partition of the foot parameters by the value T(alpha*x^2)."""
+def trace_classes(U: UnitalModel, lam: int, params=None) -> dict[int, tuple[int, ...]]:
+    """Partition of the foot parameters by the value T(alpha*x^2).
+
+    ``params`` are the foot parameters when the caller already holds them
+    (a canonical pedal's ``foot_params``); by default they are solved for.
+    """
     _require_nonclassical(U)
-    xs = foot_parameters(U, lam)
+    xs = foot_parameters(U, lam) if params is None else np.asarray(params, dtype=np.int32)
     ctx = U.ctx
     tv = ctx.trace_t[ctx.mul_t[U.params.alpha, ctx.mul_t[xs, xs]]]
     classes: dict[int, list[int]] = {}
@@ -414,7 +410,7 @@ def two_arc_partition(U: UnitalModel, pedal: PedalSet) -> tuple[tuple[int, ...],
     part1: list[int] = []
     part2: list[int] = []
     if pedal.lam is not None:
-        for _, cls in trace_classes(U, pedal.lam).items():
+        for _, cls in trace_classes(U, pedal.lam, pedal.foot_params).items():
             pts = {x: pedal.param_point[x] for x in cls}
             if len(cls) == 2:
                 part1.extend(pts.values())
@@ -506,30 +502,11 @@ class Conic:
         return [[c0, h3, h4], [h3, c1, h5], [h4, h5, c2]]
 
     def rank(self, ctx) -> int:
-        return _gf_rank(ctx, [row[:] for row in self.matrix(ctx)])
+        return 3 - len(_gf_nullspace(ctx, self.matrix(ctx)))
 
     def is_degenerate(self, ctx) -> bool:
         """Rank < 3: the zero set contains a line (over the closure)."""
         return self.rank(ctx) < 3
-
-
-def _gf_rank(ctx, rows) -> int:
-    rows = [list(r) for r in rows]
-    n_rows, n_cols = len(rows), len(rows[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = ctx.inv(rows[rank][col])
-        rows[rank] = [ctx.mul(inv, v) for v in rows[rank]]
-        for r in range(n_rows):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 def _gf_nullspace(ctx, rows) -> list[list[int]]:
@@ -636,7 +613,9 @@ def secant_partition(U: UnitalModel, line: LineId) -> list[tuple[PointId, PointI
     For each unital point A on the line, scan the external points of the
     tangent line at A in id order and take the first lying on no tangent of
     the other line points; a counting argument guarantees one exists for
-    q >= 3.  Returns (external point, foot) pairs in foot order.
+    q >= 3.  The tangents are read off the touch-point table: the tangent at
+    A is the line through A whose touch point is A.  Returns (external point,
+    foot) pairs in foot order.
     """
     kind, _ = U.classify_line(line)
     if kind != "secant":
@@ -644,9 +623,10 @@ def secant_partition(U: UnitalModel, line: LineId) -> list[tuple[PointId, PointI
     plane = U.plane
     on_line = plane.points_on(line)
     feet = on_line[U.mask[on_line]]
-    tangents = np.array([U.tangent_line_at(PointId(int(a))) for a in feet], dtype=np.int32)
+    through = plane.incidence[feet]
+    tangents = through[U.touch_points[through] == feet[:, None]]
     # how many of these q+1 tangents pass through each plane point
-    load = np.bincount(plane.incidence[tangents].ravel(), minlength=plane.size)
+    load = plane.line_counts(tangents)
     out: list[tuple[PointId, PointId]] = []
     for foot, tang in zip(feet, tangents):
         candidates = plane.points_on(LineId(int(tang)))

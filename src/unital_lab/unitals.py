@@ -120,7 +120,6 @@ class UnitalModel:
         self.infinity_line: LineId = plane.infinity_line
         # (point ids, x codes, r codes), aligned; affine points only
         self.generators: tuple[np.ndarray, np.ndarray, np.ndarray] | None = generators
-        self._point_set: frozenset | None = None
         self._gen_pairs: dict | None = None
         self._line_counts: np.ndarray | None = None
         self._touch: np.ndarray | None = None
@@ -134,12 +133,6 @@ class UnitalModel:
     @property
     def classical(self) -> bool:
         return self.kind == "hermitian" or (self.params is not None and self.params.classical)
-
-    @property
-    def point_set(self) -> frozenset:
-        if self._point_set is None:
-            self._point_set = frozenset(int(i) for i in self.points)
-        return self._point_set
 
     def __contains__(self, point) -> bool:
         return bool(self.mask[int(point)])
@@ -164,11 +157,9 @@ class UnitalModel:
 
     @property
     def line_counts(self) -> np.ndarray:
-        """|l ∩ U| for every line id, via one bincount over the incidence rows
-        of the unital's points."""
+        """|l ∩ U| for every line id."""
         if self._line_counts is None:
-            hit = self.plane.incidence[self.points].ravel()
-            self._line_counts = np.bincount(hit, minlength=self.plane.size).astype(np.int32)
+            self._line_counts = self.plane.line_counts(self.points)
         return self._line_counts
 
     @property

@@ -207,6 +207,17 @@ def test_w_override(capsys):
     )
     assert bad_code == 1  # 4 is a square
 
+    # the in-process worker context must follow w: run with the default w
+    # first, then with --w 3, and compare against a run on a cleared cache
+    override = ["verify", "--p", "5", "--n", "1", "--w", "3", "--alpha", "1", "--beta", "e"]
+    cli._WORKER.clear()
+    run_json(override[:5] + override[7:], capsys)
+    _, after_default = run_json(override, capsys)
+    cli._WORKER.clear()
+    _, fresh = run_json(override, capsys)
+    assert after_default["records"] == fresh["records"]
+    assert [r["w"] for r in fresh["records"]] == [3]
+
 
 def test_env_variable_defaults(capsys, monkeypatch):
     monkeypatch.setenv("UNITAL_LAB_FORMAT", "csv")

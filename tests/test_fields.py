@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import (
+    gf_add,
+    gf_irreducible_p,
+    gf_mul,
+    gf_pow_mod,
+    gf_rem,
+    gf_strip,
+)
 
-from unital_lab import LogExpBackend, ParameterError, build_field_ctx
+from unital_lab import ParameterError, build_field_ctx
 from unital_lab.fields import fq_add_raw, fq_mul_raw
 
 from conftest import PN_BY_Q, get_ctx
@@ -187,7 +196,7 @@ def test_two_is_nonsquare_mod3():
     assert not get_ctx(3, 1).is_square(2)
 
 
-# -- reference route and the log/exp backend ----------------------------------------
+# -- reference route and an independent oracle (sympy galoistools) -----------------
 
 
 @pytest.mark.parametrize("q", sorted(PN_BY_Q))
@@ -200,20 +209,62 @@ def test_tables_match_polynomial_reference(q):
             assert ctx.qmul(a, b) == fq_mul_raw(p, n, ctx.irreducible, a, b)
 
 
+def _poly(code, p, n):
+    """Element code (little-endian base-p digits) -> galoistools polynomial
+    (big-endian coefficient list, leading zeros stripped)."""
+    return gf_strip([(code // p**i) % p for i in reversed(range(n))])
+
+
+def _code(poly, p):
+    return sum(int(c) * p**i for i, c in enumerate(reversed(poly)))
+
+
+def _first_irreducible(p, n):
+    """First monic irreducible of degree n, ordered by the little-endian
+    base-p code of its lower coefficients."""
+    for tail in range(p**n):
+        poly = [1] + [(tail // p**i) % p for i in reversed(range(n))]
+        if gf_irreducible_p(poly, p, ZZ):
+            return poly
+    raise AssertionError(f"no irreducible of degree {n} over GF({p})")
+
+
 @pytest.mark.parametrize("q", sorted(PN_BY_Q))
-def test_logexp_backend_identical(q):
-    ctx = get_ctx(*PN_BY_Q[q])
-    backend = LogExpBackend(ctx)
-    assert np.array_equal(backend.mul_table(), ctx.mul_t)
-    for x in (0, 1, ctx.eps, ctx.q2 - 1):
-        for y in (0, 1, 2, ctx.eps):
-            assert backend.mul(x, y) == ctx.mul(x, y)
-            if y:
-                assert backend.div(x, y) == ctx.div(x, y)
+def test_gf_q_matches_galoistools(q):
+    p, n = PN_BY_Q[q]
+    ctx = get_ctx(p, n)
+    irreducible = _first_irreducible(p, n)
+    assert ctx.irreducible == tuple(reversed(irreducible))
+    polys = [_poly(a, p, n) for a in range(q)]
+    add = [[_code(gf_add(f, g, p, ZZ), p) for g in polys] for f in polys]
+    mul = [[_code(gf_rem(gf_mul(f, g, p, ZZ), irreducible, p, ZZ), p) for g in polys] for f in polys]
+    assert np.array_equal(ctx.qadd_t, add)
+    assert np.array_equal(ctx.qmul_t, mul)
+
+
+@pytest.mark.parametrize("q", [q for q, (p, n) in sorted(PN_BY_Q.items()) if n == 1])
+def test_gf_q2_matches_galoistools_quotient(q):
+    # GF(q^2) = GF(p)[e]/(e^2 - w); the code a + q*b stands for a + e*b
+    ctx = get_ctx(q, 1)
+    modulus = [1, 0, (-ctx.w) % q]
+    assert gf_irreducible_p(modulus, q, ZZ)
+    polys = [_poly(x, q, 2) for x in range(ctx.q2)]
+    mul = np.array(
+        [[_code(gf_rem(gf_mul(f, g, q, ZZ), modulus, q, ZZ), q) for g in polys] for f in polys]
+    )
+    assert np.array_equal(ctx.mul_t, mul)
+    inv = {
+        y: _code(gf_pow_mod(polys[y], ctx.q2 - 2, modulus, q, ZZ), q) for y in range(1, ctx.q2)
+    }
+    for x in range(ctx.q2):
+        for y in range(1, ctx.q2):
+            assert ctx.div(x, y) == mul[x, inv[y]]
         for e in (0, 1, 2, ctx.q, ctx.q2 - 2):
-            assert backend.pow(x, e) == ctx.pow(x, e)
+            assert ctx.pow(x, e) == _code(gf_pow_mod(polys[x], e, modulus, q, ZZ), q)
     with pytest.raises(ZeroDivisionError):
-        backend.div(1, 0)
+        ctx.div(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(0)
 
 
 # -- text syntax ---------------------------------------------------------------
