@@ -41,6 +41,7 @@ from .pedals import (
     membership_forms,
     same_trace_solutions,
     secant_partition,
+    secant_partitions,
     trace_classes,
     trace_level_line,
     trace_value,

@@ -34,6 +34,8 @@ import numpy as np
 from . import __version__
 from .elations import ElationGroup, orbit_incidence_stats, orbit_line_census, orbit_of_pedal, partition_lines_for_orbit
 from .errors import (
+    DegenerateConfiguration,
+    DegenerateInput,
     InternalConsistencyError,
     InvalidUnitalParameters,
     ParameterError,
@@ -49,7 +51,7 @@ from .pedals import (
     feet_of_many,
     is_single_arc,
     line_pedal_census,
-    secant_partition,
+    secant_partitions,
     trace_classes,
     two_arc_partition,
 )
@@ -153,18 +155,22 @@ def _init_worker(p: int, n: int, w: int | None) -> None:
 
 def _run_chunked(ctx, config: RunConfig, items: list, chunk_fn) -> list:
     """Run chunk_fn over item chunks, in-process or in a pool, and merge the
-    (key, record) results in canonical key order.  The in-process worker
-    context is reused only for the same (p, n, w) as ctx."""
-    if config.jobs == 1 or len(items) <= 1:
+    (key, record) results in canonical key order.  The pool gets
+    min(--jobs, CPU count, chunk count) processes; with one, the items run
+    in-process.  The in-process worker context is reused only for the same
+    (p, n, w) as ctx."""
+    workers = min(config.jobs, os.cpu_count() or 1)
+    chunk = max(1, len(items) // (workers * 4))
+    chunks = [items[i : i + chunk] for i in range(0, len(items), chunk)]
+    workers = min(workers, len(chunks))
+    if workers <= 1:
         cached = _WORKER.get("ctx")
         if cached is None or (cached.p, cached.n, cached.w) != (ctx.p, ctx.n, ctx.w):
             _init_worker(ctx.p, ctx.n, ctx.w)
         keyed = chunk_fn(items)
     else:
-        chunk = max(1, len(items) // (config.jobs * 4))
-        chunks = [items[i : i + chunk] for i in range(0, len(items), chunk)]
         with mp.get_context("fork").Pool(
-            config.jobs, initializer=_init_worker, initargs=(ctx.p, ctx.n, ctx.w)
+            workers, initializer=_init_worker, initargs=(ctx.p, ctx.n, ctx.w)
         ) as pool:
             keyed = [rec for part in pool.map(chunk_fn, chunks) for rec in part]
     keyed.sort(key=lambda kr: kr[0])
@@ -384,12 +390,9 @@ def _scan_bases(model) -> np.ndarray:
         all_ids = np.arange(plane.size, dtype=np.int32)
         return all_ids[~model.mask & ~on_linf]
     group = ElationGroup(model)
-    bases = [
-        group.apply_point(t, canonical_base_point(model, lam))
-        for lam in (1, ctx.w)
-        for t in group.elements()
-    ]
-    return np.unique(np.asarray(bases, dtype=np.int32))
+    ts = np.arange(group.order, dtype=np.int32)[:, None]
+    canonical = [canonical_base_point(model, lam) for lam in (1, ctx.w)]
+    return np.unique(group.apply_points(ts, canonical))
 
 
 # A scan maps a model to its (sort key, record fields) pairs: one pair per
@@ -444,13 +447,15 @@ def _scan_secant_partition(model) -> list:
         step = secants.size // SECANT_SAMPLE
         secants = secants[::step][:SECANT_SAMPLE]
     witness = None
-    for lid in secants:
-        pairs = secant_partition(model, LineId(int(lid)))
-        if witness is None:
-            witness = {
-                "line": plane.format_line(LineId(int(lid))),
-                "pairs": [[plane.format_point(b), plane.format_point(f)] for b, f in pairs],
-            }
+    bases, feet = secant_partitions(model, secants)
+    if secants.size:
+        witness = {
+            "line": plane.format_line(LineId(int(secants[0]))),
+            "pairs": [
+                [plane.format_point(int(b)), plane.format_point(int(f))]
+                for b, f in zip(bases[0], feet[0])
+            ],
+        }
     fields = {"secants_checked": int(secants.size), "all_partitioned": True, "witness": witness}
     return [(0, fields)]
 
@@ -488,15 +493,12 @@ def cmd_scan(config: RunConfig) -> tuple[dict, int]:
     if config.problem is None:
         raise ParameterError("scan requires --problem")
     ctx = build_field_ctx(config.p, config.n, config.w)
+    alpha = None if config.alpha is None else ctx.parse_fq2(config.alpha)
+    beta = None if config.beta is None else ctx.parse_fq2(config.beta)
     tuples = [
-        (t.alpha, t.beta) for t in valid_parameter_pairs(ctx, nonclassical_only=True)
+        (t.alpha, t.beta)
+        for t in valid_parameter_pairs(ctx, nonclassical_only=True, alpha=alpha, beta=beta)
     ]
-    if config.alpha is not None:
-        a = ctx.parse_fq2(config.alpha)
-        tuples = [t for t in tuples if t[0] == a]
-    if config.beta is not None:
-        b = ctx.parse_fq2(config.beta)
-        tuples = [t for t in tuples if t[1] == b]
     records = _run_chunked(ctx, config, tuples, functools.partial(_scan_chunk, config.problem))
     summary = {"pass": len(records), "fail": 0, "skipped": 0, "tuples": len(tuples)}
     report = _report_envelope(f"scan:{config.problem}", ctx, config, records, summary)
@@ -586,12 +588,18 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         report, code = _COMMANDS[config.command](config)
         _emit(report, config)
+    except (
+        TheoremViolation,
+        StructuralViolation,
+        InternalConsistencyError,
+        DegenerateInput,
+        DegenerateConfiguration,
+    ) as exc:  # the two Degenerate* are ValueErrors raised by library checks
+        sys.stderr.write(f"unital-lab: check failed: {exc}\n")
+        return 2
     except (ParameterError, InvalidUnitalParameters, ValueError) as exc:
         sys.stderr.write(f"unital-lab: error: {exc}\n")
         return 1
-    except (TheoremViolation, StructuralViolation, InternalConsistencyError) as exc:
-        sys.stderr.write(f"unital-lab: check failed: {exc}\n")
-        return 2
     sys.stderr.write(
         f"# unital-lab {config.command} finished in {time.perf_counter() - started:.2f}s\n"
     )

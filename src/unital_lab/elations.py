@@ -76,21 +76,18 @@ class OrbitSet:
 
 def orbit_of_pedal(U: UnitalModel, pedal: PedalSet) -> OrbitSet:
     """Build the orbit, verifying along the way that translating the feet
-    matches the feet of the translated base and that the pedals are disjoint."""
+    matches the feet of the translated base and that the pedals are disjoint.
+    All q elations are applied in one broadcast over a column of t values."""
     group = ElationGroup(U)
-    base_feet = np.asarray(pedal.feet, dtype=np.int32)
-    moved_bases = np.array(
-        [group.apply_point(t, pedal.base) for t in group.elements()], dtype=np.int32
-    )
+    ts = np.arange(group.order, dtype=np.int32)[:, None]
+    moved_bases = group.apply_points(ts, [pedal.base])[:, 0]
     fresh, _ = feet_of_many(U, moved_bases)
-    pedals = []
-    for t in group.elements():
-        image = np.sort(group.apply_points(t, base_feet))
-        if not np.array_equal(image, fresh[t]):
-            raise TheoremViolation(
-                f"elation t={t} image of the feet differs from the feet of the image point"
-            )
-        pedals.append((t, tuple(int(i) for i in fresh[t])))
+    images = np.sort(group.apply_points(ts, pedal.feet), axis=1)
+    differs = np.nonzero(np.any(images != fresh, axis=1))[0]
+    if differs.size:
+        raise TheoremViolation(
+            f"elation t={int(differs[0])} image of the feet differs from the feet of the image point"
+        )
     union = np.unique(fresh)
     expected = U.ctx.q * (U.ctx.q + 1)
     if union.size != expected:
@@ -98,8 +95,8 @@ def orbit_of_pedal(U: UnitalModel, pedal: PedalSet) -> OrbitSet:
     return OrbitSet(
         base=pedal.base,
         lam=pedal.lam,
-        pedals=tuple(pedals),
-        points=tuple(int(i) for i in union),
+        pedals=tuple(enumerate(map(tuple, fresh.tolist()))),
+        points=tuple(union.tolist()),
     )
 
 
@@ -108,37 +105,38 @@ def partition_lines_for_orbit(U: UnitalModel, orbit: OrbitSet) -> list[LineId]:
 
     Each passes through [1, 0, 0], meets the orbit in exactly q+1 points,
     the q lines partition the orbit, and each line's unital points all lie
-    in the orbit.
+    in the orbit.  The checks run in that order, each over the rows of all
+    q lines at once.
     """
     if orbit.lam is None:
         raise ValueError("partition lines are defined for canonical-frame orbits")
     ctx, plane = U.ctx, U.plane
-    lam_eps = ctx.pack(0, orbit.lam)
-    lines = [
-        plane.line_id(0, ctx.neg(1), ctx.sub(s, lam_eps)) for s in range(ctx.q)
-    ]
+    s = np.arange(ctx.q, dtype=np.int32)
+    offsets = ctx.add_t[s, ctx.neg(ctx.pack(0, orbit.lam))]
+    lines = plane.point_ids_vec(0, ctx.neg(1), offsets)
+    rows = plane.incidence[lines]
     corner = plane.point_id(1, 0, 0)
+    if not bool(np.all(np.any(rows == corner, axis=1))):
+        raise TheoremViolation("partition line misses [1,0,0]")
+    orbit_points = np.asarray(orbit.points, dtype=np.int32)
     in_orbit = np.zeros(plane.size, dtype=bool)
-    in_orbit[np.asarray(orbit.points, dtype=np.int32)] = True
-    covered: set[int] = set()
-    for lid in lines:
-        if not plane.incident(corner, lid):
-            raise TheoremViolation("partition line misses [1,0,0]")
-        row = plane.points_on(lid)
-        hits = row[in_orbit[row]]
-        if hits.size != ctx.q + 1:
-            raise TheoremViolation(
-                f"partition line meets the orbit in {hits.size} points; expected {ctx.q + 1}"
-            )
-        if covered & set(int(h) for h in hits):
-            raise TheoremViolation("partition lines overlap on the orbit")
-        covered.update(int(h) for h in hits)
-        unital_hits = row[U.mask[row]]
-        if not set(int(h) for h in unital_hits) <= set(orbit.points):
-            raise TheoremViolation("a partition line meets the unital outside the orbit")
-    if covered != set(orbit.points):
+    in_orbit[orbit_points] = True
+    on_orbit = in_orbit[rows]
+    sizes = on_orbit.sum(axis=1)
+    if not bool(np.all(sizes == ctx.q + 1)):
+        bad = int(sizes[sizes != ctx.q + 1][0])
+        raise TheoremViolation(
+            f"partition line meets the orbit in {bad} points; expected {ctx.q + 1}"
+        )
+    hits = rows[on_orbit]
+    covered = np.unique(hits)
+    if covered.size != hits.size:
+        raise TheoremViolation("partition lines overlap on the orbit")
+    if bool(np.any(U.mask[rows] & ~on_orbit)):
+        raise TheoremViolation("a partition line meets the unital outside the orbit")
+    if not np.array_equal(covered, np.unique(orbit_points)):
         raise TheoremViolation("partition lines do not cover the orbit")
-    return lines
+    return [LineId(int(line)) for line in lines]
 
 
 def orbit_line_census(U: UnitalModel, orbit: OrbitSet) -> IntersectionCensus:

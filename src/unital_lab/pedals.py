@@ -606,37 +606,60 @@ def arc_in_conic(plane, arc) -> ConicFitResult:
 # -- secant partition ------------------------------------------------------------
 
 
+def secant_partitions(U: UnitalModel, lines) -> tuple[np.ndarray, np.ndarray]:
+    """Secant partitions of a batch of secant lines, in one vectorised pass.
+
+    Row i of both (len(lines), q+1) arrays belongs to lines[i]: ``feet`` are
+    the line's unital points in id order, and ``bases[i, j]`` is the pedal
+    base for ``feet[i, j]``: the first point, in id order, on the tangent at
+    that foot that lies on no other tangent at the line's unital points and
+    is not the foot itself.  Each base is then the only foot on the line of
+    its pedal; a counting argument guarantees one exists for q >= 3, and the
+    q+1 bases of a line must be distinct.
+    """
+    plane, q = U.plane, U.ctx.q
+    lines = np.asarray(lines, dtype=np.int32)
+    not_secant = lines[U.line_counts[lines] != q + 1]
+    if not_secant.size:
+        U.classify_line(LineId(int(not_secant[0])))  # StructuralViolation unless a tangent
+        raise ValueError("secant_partition requires a secant line")
+    n = lines.size
+    on_line = plane.incidence[lines]
+    feet = on_line[U.mask[on_line]].reshape(n, q + 1)
+    # point -> its tangent line, inverted from the touch-point table
+    tangent_lines = np.nonzero(U.touch_points >= 0)[0].astype(np.int32)
+    tangent_at = np.full(plane.size, -1, dtype=np.int32)
+    tangent_at[U.touch_points[tangent_lines]] = tangent_lines
+    candidates = plane.incidence[tangent_at[feet]]  # (n, q+1, q^2+1), rows in id order
+    # Key each candidate by its line's row in the batch; a key met twice is a
+    # point on two or more of that line's tangents.
+    offset = np.arange(n, dtype=np.int64)[:, None] * plane.size
+    keys = (np.sort(candidates.reshape(n, -1), axis=1) + offset).ravel()
+    shared = np.concatenate(([-1], keys[1:][keys[1:] == keys[:-1]]))  # -1 is no key
+    # The first admissible candidate is among the first q+2 of its tangent:
+    # only the foot and the tangent's meets with the q others are excluded,
+    # unless two tangents coincide, and then no point is admissible.
+    head = candidates[:, :, : q + 2]
+    head_keys = head + offset[:, :, None]
+    pos = np.searchsorted(shared, head_keys).clip(max=shared.size - 1)
+    admissible = (shared[pos] != head_keys) & (head != feet[:, :, None])
+    found = admissible.any(axis=2)
+    if not bool(found.all()):
+        row, col = np.argwhere(~found)[0]
+        raise TheoremViolation(
+            f"no admissible pedal base for foot {plane.format_point(int(feet[row, col]))}"
+        )
+    bases = np.take_along_axis(head, admissible.argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
+    ordered = np.sort(bases, axis=1)
+    if bool(np.any(ordered[:, 1:] == ordered[:, :-1])):
+        raise TheoremViolation("pedal bases in a secant partition must be distinct")
+    return bases, feet
+
+
 def secant_partition(U: UnitalModel, line: LineId) -> list[tuple[PointId, PointId]]:
     """For a secant line, q+1 distinct pedals each meeting the line's unital
-    points in exactly one foot, partitioning them.
-
-    For each unital point A on the line, scan the external points of the
-    tangent line at A in id order and take the first lying on no tangent of
-    the other line points; a counting argument guarantees one exists for
-    q >= 3.  The tangents are read off the touch-point table: the tangent at
-    A is the line through A whose touch point is A.  Returns (external point,
-    foot) pairs in foot order.
+    points in exactly one foot, partitioning them: :func:`secant_partitions`
+    on a one-line batch.  Returns (external point, foot) pairs in foot order.
     """
-    kind, _ = U.classify_line(line)
-    if kind != "secant":
-        raise ValueError("secant_partition requires a secant line")
-    plane = U.plane
-    on_line = plane.points_on(line)
-    feet = on_line[U.mask[on_line]]
-    through = plane.incidence[feet]
-    tangents = through[U.touch_points[through] == feet[:, None]]
-    # how many of these q+1 tangents pass through each plane point
-    load = plane.line_counts(tangents)
-    out: list[tuple[PointId, PointId]] = []
-    for foot, tang in zip(feet, tangents):
-        candidates = plane.points_on(LineId(int(tang)))
-        ok = candidates[(load[candidates] == 1) & (candidates != foot)]
-        if ok.size == 0:
-            raise TheoremViolation(
-                f"no admissible pedal base for foot {plane.format_point(int(foot))}"
-            )
-        out.append((PointId(int(ok[0])), PointId(int(foot))))
-    bases = [b for b, _ in out]
-    if len(set(bases)) != len(bases):
-        raise TheoremViolation("pedal bases in a secant partition must be distinct")
-    return out
+    bases, feet = secant_partitions(U, [line])
+    return [(PointId(int(b)), PointId(int(f))) for b, f in zip(bases[0], feet[0])]

@@ -61,8 +61,11 @@ def validate_params(ctx: FieldCtx, alpha: int, beta: int) -> UnitalParams:
     )
 
 
-def valid_parameter_pairs(ctx: FieldCtx, nonclassical_only: bool = False) -> list[UnitalParams]:
-    """Every valid (alpha, beta), in ascending (alpha, beta) code order.
+def valid_parameter_pairs(
+    ctx: FieldCtx, nonclassical_only: bool = False, alpha: int | None = None, beta: int | None = None
+) -> list[UnitalParams]:
+    """Every valid (alpha, beta), in ascending (alpha, beta) code order;
+    ``alpha``/``beta`` restrict the listing to that alpha row / beta column.
 
     The listing is exhaustive on purpose: no quotient by equivalences is
     attempted, so a sweep cannot miss a case.
@@ -76,19 +79,21 @@ def valid_parameter_pairs(ctx: FieldCtx, nonclassical_only: bool = False) -> lis
     valid = ~ctx.square_mask[disc]
     if nonclassical_only:
         valid[0, :] = False
-    out = []
-    for a, b in np.argwhere(valid):
-        a, b = int(a), int(b)
-        out.append(
-            UnitalParams(
-                alpha=a,
-                beta=b,
-                discriminant=int(disc[a, b]),
-                classical=(a == 0),
-                beta_real=(ctx.conj(b) == b),
-            )
+    if alpha is not None:
+        valid[codes != alpha, :] = False
+    if beta is not None:
+        valid[:, codes != beta] = False
+    beta_real = ctx.conj_t[codes] == codes
+    return [
+        UnitalParams(
+            alpha=a,
+            beta=b,
+            discriminant=int(disc[a, b]),
+            classical=(a == 0),
+            beta_real=bool(beta_real[b]),
         )
-    return out
+        for a, b in np.argwhere(valid).tolist()
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from unital_lab import cli
+from unital_lab import DegenerateConfiguration, DegenerateInput, cli
 
 
 def run_cli(args, capsys):
@@ -264,3 +265,62 @@ def test_reports_byte_identical_across_jobs(tmp_path, capsys):
             pairs.setdefault(cmd[0], {})[jobs] = target.read_bytes()
     for cmd, by_jobs in pairs.items():
         assert by_jobs["1"] == by_jobs["8"], f"{cmd} report differs across worker counts"
+
+
+@pytest.mark.parametrize("error", [DegenerateConfiguration, DegenerateInput])
+def test_degenerate_check_inside_library_exits_2(error, capsys, monkeypatch):
+    def degenerate(model):
+        raise error("five points determine a conic pencil of dimension 2")
+
+    monkeypatch.setitem(cli._SCANS, "conics", degenerate)
+    code = cli.main(["scan", "--p", "3", "--n", "1", "--problem", "conics"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "check failed: five points" in captured.err
+    # bad input is still a usage error
+    assert run_cli(["scan", "--p", "4", "--n", "1", "--problem", "conics"], capsys)[0] == 1
+
+
+class _RecordingContext:
+    """Stands in for the fork context: records the process count asked of
+    Pool and runs every chunk in this process, so no process starts."""
+
+    def __init__(self):
+        self.processes = []
+
+    def Pool(self, processes, initializer, initargs):
+        self.processes.append(processes)
+        initializer(*initargs)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return [fn(chunk) for chunk in chunks]
+
+
+def test_worker_count_clamped_to_cpus_and_chunks(tmp_path, capsys, monkeypatch):
+    recorder = _RecordingContext()
+    monkeypatch.setattr(cli, "mp", SimpleNamespace(get_context=lambda method: recorder))
+    scan = ["scan", "--p", "3", "--n", "1", "--problem", "conics"]
+
+    def run(args, cpus):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        target = tmp_path / "report.json"
+        assert run_cli([*args, "--out", str(target)], capsys)[0] == 0
+        return target.read_bytes()
+
+    reference = run([*scan, "--jobs", "1"], cpus=2)
+    assert recorder.processes == []
+    assert run([*scan, "--jobs", "8"], cpus=2) == reference  # 12 tuples, 2 CPUs
+    assert recorder.processes == [2]
+    assert run([*scan, "--jobs", "2"], cpus=None) == reference  # unknown CPU count: 1
+    assert recorder.processes == [2]
+    run([*scan, "--alpha", "1+e", "--jobs", "8"], cpus=64)  # 3 tuples, 3 chunks
+    assert recorder.processes == [2, 3]
+    run([*scan, "--alpha", "1+e", "--beta", "0", "--jobs", "8"], cpus=64)  # one chunk
+    assert recorder.processes == [2, 3]

@@ -5,6 +5,7 @@ import pytest
 
 from unital_lab import (
     ElationGroup,
+    PedalSet,
     TheoremViolation,
     build_obm_unital,
     feet_closed_form,
@@ -211,3 +212,13 @@ def test_orbit_rejects_non_canonical_partition(setup):
     orbit = orbit_of_pedal(model, ped)
     with pytest.raises(ValueError):
         partition_lines_for_orbit(model, orbit)
+
+
+def test_orbit_rejects_feet_of_another_base(setup):
+    ctx, plane, model, group = setup
+    ped = feet_closed_form(model, 1)
+    other = feet_closed_form(model, ctx.w)
+    assert set(ped.feet) != set(other.feet)
+    forged = PedalSet(base=ped.base, feet=other.feet, collinear=other.collinear, lam=1)
+    with pytest.raises(TheoremViolation, match=r"elation t=0 image"):
+        orbit_of_pedal(model, forged)

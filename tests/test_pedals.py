@@ -21,6 +21,7 @@ from unital_lab import (
     membership_forms,
     same_trace_solutions,
     secant_partition,
+    secant_partitions,
     trace_classes,
     trace_level_line,
     trace_value,
@@ -481,3 +482,51 @@ def test_secant_partition_rejects_tangents(q3_model):
     ctx, plane, model = q3_model
     with pytest.raises(ValueError):
         secant_partition(model, model.infinity_line)
+
+
+def _check_secant_pairs(model, line, pairs):
+    """Oracle for one secant's (base, foot) pairs from incidence rows,
+    membership, the brute-force tangent and brute-force feet only."""
+    plane = model.plane
+    on_line = plane.points_on(line)
+    line_unital = {int(x) for x in on_line[model.mask[on_line]]}
+    assert sorted(foot for _, foot in pairs) == sorted(line_unital)
+    assert len({base for base, _ in pairs}) == len(pairs)
+
+    def singles_out(point, foot):
+        return set(feet_of(model, point).feet) & line_unital == {foot}
+
+    for base, foot in pairs:
+        on_tangent = [int(x) for x in plane.points_on(model.tangent_line_brute(foot))]
+        assert base in on_tangent and base != foot
+        assert singles_out(base, foot)
+        # the base is the first such point of the tangent in id order
+        assert not any(singles_out(p, foot) for p in on_tangent if p < base and p != foot)
+
+
+@pytest.mark.parametrize("fixture", ["q3_model", "q5_model"])
+def test_secant_partitions_match_independent_oracle(fixture, request):
+    ctx, plane, model = request.getfixturevalue(fixture)
+    secants = np.nonzero(model.line_counts == ctx.q + 1)[0]
+    if ctx.q == 3:
+        assert secants.size == 63
+    else:
+        secants = secants[:: secants.size // 20][:20]
+        assert secants.size == 20
+    bases, feet = secant_partitions(model, secants)
+    assert bases.shape == feet.shape == (secants.size, ctx.q + 1)
+    for line, row_bases, row_feet in zip(secants, bases, feet):
+        _check_secant_pairs(model, int(line), list(zip(row_bases.tolist(), row_feet.tolist())))
+
+
+def test_secant_partitions_batch_equals_single_lines(q5_model):
+    ctx, plane, model = q5_model
+    secants = np.nonzero(model.line_counts == ctx.q + 1)[0]
+    mixed = np.concatenate([secants[-3:], secants[:2], secants[secants.size // 2 :][:1], secants[:1]])
+    bases, feet = secant_partitions(model, mixed)
+    for line, row_bases, row_feet in zip(mixed, bases, feet):
+        expected = secant_partition(model, int(line))
+        assert list(zip(row_bases.tolist(), row_feet.tolist())) == expected
+    tangent = np.nonzero(model.line_counts == 1)[0][0]
+    with pytest.raises(ValueError, match="secant"):
+        secant_partitions(model, np.insert(mixed, 2, tangent))
