@@ -102,41 +102,47 @@ def _build_parser() -> _Parser:
         ("scan", "open-problem scanners over all valid parameter pairs"),
     ):
         cmd = sub.add_parser(name, help=blurb)
-        cmd.add_argument("--p", type=int, default=_env("p"), help="odd prime")
-        cmd.add_argument("--n", type=int, default=_env("n", "1"), help="tower degree, q = p^n")
-        cmd.add_argument("--w", type=int, default=_env("w"), help="non-square override for GF(q)")
-        cmd.add_argument("--alpha", default=_env("alpha"), help="GF(q^2) element A+e*B")
-        cmd.add_argument("--beta", default=_env("beta"), help="GF(q^2) element A+e*B")
+        cmd.add_argument("--p", type=int, help="odd prime")
+        cmd.add_argument("--n", type=int, help="tower degree, q = p^n")
+        cmd.add_argument("--w", type=int, help="non-square override for GF(q)")
+        cmd.add_argument("--alpha", help="GF(q^2) element A+e*B")
+        cmd.add_argument("--beta", help="GF(q^2) element A+e*B")
         cmd.add_argument(
-            "--lambda", dest="lam", choices=("1", "w"), default=_env("lambda"),
+            "--lambda", dest="lam", choices=("1", "w"),
             help="canonical base point [0, lambda*e, 1]",
         )
-        cmd.add_argument("--point", default=_env("point"), help="base point X,Y,Z")
-        cmd.add_argument("--problem", choices=tuple(_SCANS), default=_env("problem"))
-        cmd.add_argument(
-            "--format", dest="fmt", choices=("json", "csv"), default=_env("format", "json")
-        )
-        cmd.add_argument("--out", default=_env("out"), help="output path (default stdout)")
-        cmd.add_argument("--jobs", type=int, default=int(_env("jobs", "1")), help="worker count")
+        cmd.add_argument("--point", help="base point X,Y,Z")
+        cmd.add_argument("--problem", choices=tuple(_SCANS))
+        cmd.add_argument("--format", dest="fmt", choices=("json", "csv"))
+        cmd.add_argument("--out", help="output path (default stdout)")
+        cmd.add_argument("--jobs", type=int, help="worker count")
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    if args.p is None:
+    """Every flag left out falls back to its UNITAL_LAB_ variable, read now,
+    so one parser serves every call of the process."""
+
+    def flag(dest, name=None, fallback=None):
+        value = getattr(args, dest)
+        return _env(name or dest, fallback) if value is None else value
+
+    p, w = flag("p"), flag("w")
+    if p is None:
         raise ParameterError("--p is required")
     return RunConfig(
         command=args.command,
-        p=int(args.p),
-        n=int(args.n),
-        w=None if args.w is None else int(args.w),
-        alpha=args.alpha,
-        beta=args.beta,
-        lam=args.lam,
-        point=args.point,
-        problem=args.problem,
-        fmt=args.fmt,
-        out=args.out,
-        jobs=max(1, int(args.jobs)),
+        p=int(p),
+        n=int(flag("n", fallback="1")),
+        w=None if w is None else int(w),
+        alpha=flag("alpha"),
+        beta=flag("beta"),
+        lam=flag("lam", "lambda"),
+        point=flag("point"),
+        problem=flag("problem"),
+        fmt=flag("fmt", "format", "json"),
+        out=flag("out"),
+        jobs=max(1, int(flag("jobs", fallback="1"))),
     )
 
 
@@ -409,10 +415,15 @@ def _scan_four_lines(model) -> list:
     ]
     bases = _scan_bases(model)
     feet, _ = feet_of_many(model, bases)
-    max_size = max(
-        [census.max_size() for census in censuses]
-        + [int(model.plane.line_counts(row).max()) for row in feet]
-    )
+    # A line meets a pedal in as many points as it occurs among the feet's
+    # incidence rows.  Sort each pedal's rows; a run of k equal line ids in a
+    # row shows as equal entries k-1 apart, so grow k while some row has one.
+    lines = model.plane.incidence[feet].reshape(feet.shape[0], -1)
+    lines.sort(axis=1)
+    longest_run = 1
+    while np.any(lines[:, longest_run:] == lines[:, :-longest_run]):
+        longest_run += 1
+    max_size = max([census.max_size() for census in censuses] + [longest_run])
     fields = {
         "scanned_bases": int(bases.size),
         "max_line_size": max_size,
@@ -478,13 +489,21 @@ _SCANS = {
 
 
 def _scan_chunk(problem: str, tuples) -> list:
+    """Scan records in (alpha, beta, key) order.  A structural or theorem
+    check that fails on one tuple gives that tuple a single ``fail`` record
+    naming the check and the exception, and the scan goes on."""
     ctx, plane = _WORKER["ctx"], _WORKER["plane"]
     out = []
     for alpha, beta in tuples:
-        model = _model_for(ctx, plane, alpha, beta)
         rec = _record_base(ctx, alpha, beta)
-        rec["beta_real"] = model.params.beta_real
-        for key, fields in _SCANS[problem](model):
+        try:
+            model = _model_for(ctx, plane, alpha, beta)
+            rec["beta_real"] = model.params.beta_real
+            keyed = _SCANS[problem](model)
+        except (TheoremViolation, StructuralViolation) as exc:
+            rec.update(status="fail", check=problem, error=f"{type(exc).__name__}: {exc}")
+            keyed = [(0, {})]
+        for key, fields in keyed:
             out.append(((alpha, beta, key), {**rec, **fields}))
     return out
 
@@ -500,9 +519,10 @@ def cmd_scan(config: RunConfig) -> tuple[dict, int]:
         for t in valid_parameter_pairs(ctx, nonclassical_only=True, alpha=alpha, beta=beta)
     ]
     records = _run_chunked(ctx, config, tuples, functools.partial(_scan_chunk, config.problem))
-    summary = {"pass": len(records), "fail": 0, "skipped": 0, "tuples": len(tuples)}
+    failed = sum(1 for r in records if r.get("status") == "fail")
+    summary = {"pass": len(records) - failed, "fail": failed, "skipped": 0, "tuples": len(tuples)}
     report = _report_envelope(f"scan:{config.problem}", ctx, config, records, summary)
-    return report, 0
+    return report, (2 if failed else 0)
 
 
 # -- emission ----------------------------------------------------------------------
@@ -577,10 +597,12 @@ _COMMANDS = {
 }
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.perf_counter()

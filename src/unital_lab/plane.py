@@ -158,12 +158,14 @@ class ProjectivePlane:
         inc.sort(axis=1)
         return inc
 
-    def line_counts(self, points) -> np.ndarray:
+    def line_counts(self, points, rows=None) -> np.ndarray:
         """|l ∩ S| for every line id l, S the given (distinct) points: one
         bincount over their incidence rows.  The table is self-dual, so for a
         set of lines the same call counts how many of them pass through each
-        point."""
-        rows = self.incidence[np.asarray(points, dtype=np.int32)]
+        point.  A caller that has already gathered ``incidence[points]``
+        passes it as ``rows``."""
+        if rows is None:
+            rows = self.incidence[np.asarray(points, dtype=np.int32)]
         return np.bincount(rows.ravel(), minlength=self.size).astype(np.int32)
 
     def lines_through(self, point: PointId) -> np.ndarray:

@@ -116,18 +116,18 @@ class UnitalModel:
     def __init__(self, ctx, plane, points, params=None, kind="obm", generators=None):
         self.ctx: FieldCtx = ctx
         self.plane: ProjectivePlane = plane
-        self.points = np.unique(np.asarray(points, dtype=np.int32))
+        self.mask = np.zeros(plane.size, dtype=bool)
+        self.mask[np.asarray(points, dtype=np.int32)] = True
+        self.points = np.flatnonzero(self.mask).astype(np.int32)  # sorted, distinct
         self.params: UnitalParams | None = params
         self.kind = kind
-        self.mask = np.zeros(plane.size, dtype=bool)
-        self.mask[self.points] = True
         self.infinity_point: PointId = plane.infinity_point
         self.infinity_line: LineId = plane.infinity_line
         # (point ids, x codes, r codes), aligned; affine points only
         self.generators: tuple[np.ndarray, np.ndarray, np.ndarray] | None = generators
         self._gen_pairs: dict | None = None
-        self._line_counts: np.ndarray | None = None
-        self._touch: np.ndarray | None = None
+        # (line counts, tangents per point, touch array or None)
+        self._line_stats: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None
 
     # -- basics ------------------------------------------------------------
 
@@ -160,30 +160,37 @@ class UnitalModel:
 
     # -- line statistics ------------------------------------------------------
 
+    def _lines_pass(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """One gather of the points' incidence rows feeds the line counts and
+        one tangent pass over them: how many tangent lines pass through each
+        point, and the touch array when that is 1 for every point."""
+        if self._line_stats is None:
+            rows = self.plane.incidence[self.points]
+            counts = self.plane.line_counts(self.points, rows=rows)
+            flags = np.take(counts == 1, rows)
+            tangents = np.count_nonzero(flags, axis=1)
+            touch = None
+            if bool(np.all(tangents == 1)):
+                touch = np.full(self.plane.size, -1, dtype=np.int32)
+                touch[rows[np.arange(rows.shape[0]), flags.argmax(axis=1)]] = self.points
+            self._line_stats = (counts, tangents, touch)
+        return self._line_stats
+
     @property
     def line_counts(self) -> np.ndarray:
         """|l ∩ U| for every line id."""
-        if self._line_counts is None:
-            self._line_counts = self.plane.line_counts(self.points)
-        return self._line_counts
+        return self._lines_pass()[0]
 
     @property
     def touch_points(self) -> np.ndarray:
         """touch_points[l] = the unital point of tangent line l, else -1."""
-        if self._touch is None:
-            q = self.ctx.q
-            rows = self.plane.incidence[self.points]
-            flags = self.line_counts[rows] == 1
-            per_point = flags.sum(axis=1)
-            if not bool(np.all(per_point == 1)):
-                raise StructuralViolation(
-                    "some point does not lie on exactly one tangent line; "
-                    "the set is not a unital"
-                )
-            touch = np.full(self.plane.size, -1, dtype=np.int32)
-            touch[rows[flags]] = self.points
-            self._touch = touch
-        return self._touch
+        touch = self._lines_pass()[2]
+        if touch is None:
+            raise StructuralViolation(
+                "some point does not lie on exactly one tangent line; "
+                "the set is not a unital"
+            )
+        return touch
 
     def classify_line(self, line: LineId) -> tuple[str, int]:
         count = int(self.line_counts[line])
@@ -198,12 +205,12 @@ class UnitalModel:
 
     def verify_unital_axiom(self) -> dict[int, int]:
         """Histogram {1: tangents, q+1: secants}; raises on any other count."""
-        values, freq = np.unique(self.line_counts, return_counts=True)
-        support = set(int(v) for v in values)
-        if not support <= {1, self.ctx.q + 1}:
-            bad = sorted(support - {1, self.ctx.q + 1})
+        freq = np.bincount(self.line_counts)
+        support = np.flatnonzero(freq).tolist()
+        bad = sorted(set(support) - {1, self.ctx.q + 1})
+        if bad:
             raise StructuralViolation(f"line intersection sizes {bad} violate the unital axiom")
-        return {int(v): int(c) for v, c in zip(values, freq)}
+        return {v: int(freq[v]) for v in support}
 
     def tangent_count_through(self, point: PointId) -> tuple[int, int]:
         """(tangent, secant) line counts through an arbitrary plane point."""
@@ -283,14 +290,11 @@ class UnitalModel:
     # -- blocking-set verification ------------------------------------------------
 
     def verify_minimal_blocking_set(self) -> BlockingReport:
-        counts = self.line_counts
+        counts, tangents, _ = self._lines_pass()
         blocking = bool(np.all(counts >= 1))
-        minimal = True
-        if blocking:
-            # removing a point only breaks blocking if some line meets the
-            # set exactly in that point, i.e. every point needs a tangent
-            rows = self.plane.incidence[self.points]
-            minimal = bool(np.all((counts[rows] == 1).any(axis=1)))
+        # removing a point only breaks blocking if some line meets the set
+        # exactly in that point, i.e. every point needs a tangent
+        minimal = bool(np.all(tangents >= 1))
         bound = self.ctx.q**3 + 1
         return BlockingReport(
             blocking=blocking,
@@ -339,7 +343,9 @@ def build_obm_unital(ctx: FieldCtx, plane: ProjectivePlane, params: UnitalParams
     add, mul = ctx.add_t, ctx.mul_t
     Y = add[add[mul[params.alpha, mul[X, X]], mul[params.beta, ctx.norm_t[X]]], R]
     ids = plane.point_ids_vec(X, Y, np.ones_like(X))
-    if np.unique(ids).size != ids.size:
+    hit = np.zeros(plane.size, dtype=bool)
+    hit[ids] = True
+    if np.count_nonzero(hit) != ids.size:
         raise StructuralViolation("generating map (x, r) -> point is not injective")
     points = np.concatenate([ids, [plane.infinity_point]])
     model = UnitalModel(

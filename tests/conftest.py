@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from unital_lab import ProjectivePlane, build_field_ctx
+from unital_lab import ProjectivePlane, UnitalModel, build_field_ctx
 
 _CTX_CACHE = {}
 _PLANE_CACHE = {}
@@ -22,6 +23,24 @@ def get_geometry(p, n=1):
         plane.incidence
         _PLANE_CACHE[key] = (ctx, plane)
     return _PLANE_CACHE[key]
+
+
+def swapped_for_external(model) -> UnitalModel:
+    """A corrupted copy of an OBM model: its first affine point is replaced by
+    the first external point off that point's tangent line, so the set keeps
+    its size but the old tangent line meets it in no point.  Parameters and
+    generators are kept, so the closed-form tangents still describe the old
+    set."""
+    plane = model.plane
+    dropped = int(model.points[0])
+    tangent = model.tangent_line_brute(dropped)
+    outside = ~model.mask
+    outside[plane.points_on(tangent)] = False
+    added = int(np.flatnonzero(outside)[0])
+    points = np.append(model.points[model.points != dropped], added)
+    return UnitalModel(
+        model.ctx, plane, points, params=model.params, kind="obm", generators=model.generators
+    )
 
 
 # q in {3, 5, 7, 9, 13} <-> (p, n) pairs used across the suite

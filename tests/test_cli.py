@@ -3,7 +3,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from unital_lab import DegenerateConfiguration, DegenerateInput, cli
+from unital_lab import DegenerateConfiguration, DegenerateInput, TheoremViolation, cli
+
+from conftest import swapped_for_external
 
 
 def run_cli(args, capsys):
@@ -235,6 +237,19 @@ def test_env_variable_defaults(capsys, monkeypatch):
     assert code2 == 0 and out2.lstrip().startswith("{")
 
 
+def test_env_defaults_read_on_every_call(capsys, monkeypatch):
+    # one parser serves the whole process, so the environment is read per call
+    args = ["verify", "--p", "3", "--alpha", "1+e", "--beta", "0"]
+    monkeypatch.delenv("UNITAL_LAB_FORMAT", raising=False)
+    code, out = run_cli(args, capsys)
+    assert code == 0 and out.lstrip().startswith("{")
+    monkeypatch.setenv("UNITAL_LAB_FORMAT", "csv")
+    code, out = run_cli(args, capsys)
+    assert code == 0 and out.startswith("alpha,")
+    code, out = run_cli([*args, "--format", "json"], capsys)
+    assert code == 0 and out.lstrip().startswith("{")
+
+
 def test_csv_projection_rows(capsys):
     code, out = run_cli(["verify", "--p", "3", "--n", "1", "--format", "csv"], capsys)
     assert code == 0
@@ -324,3 +339,52 @@ def test_worker_count_clamped_to_cpus_and_chunks(tmp_path, capsys, monkeypatch):
     assert recorder.processes == [2, 3]
     run([*scan, "--alpha", "1+e", "--beta", "0", "--jobs", "8"], cpus=64)  # one chunk
     assert recorder.processes == [2, 3]
+
+
+def test_scan_records_a_failed_tuple_and_goes_on(capsys, monkeypatch):
+    scan = ["scan", "--p", "3", "--n", "1", "--problem", "conics"]
+    code, clean = run_json(scan, capsys)
+    assert code == 0
+    real = cli._SCANS["conics"]
+    tuple_of = lambda r: (r["alpha"], r["beta"])
+    broken = tuple_of(clean["records"][4])
+
+    def conics(model):
+        ctx, params = model.ctx, model.params
+        if (ctx.format_fq2(params.alpha), ctx.format_fq2(params.beta)) == broken:
+            raise TheoremViolation("arc split failed")
+        return real(model)
+
+    monkeypatch.setitem(cli._SCANS, "conics", conics)
+    code, report = run_json(scan, capsys)
+    assert code == 2
+    failed = [r for r in report["records"] if r.get("status") == "fail"]
+    assert len(failed) == 1
+    (fail,) = failed
+    assert tuple_of(fail) == broken
+    assert fail["check"] == "conics"
+    assert fail["error"] == "TheoremViolation: arc split failed"
+    rest = [r for r in report["records"] if r.get("status") != "fail"]
+    assert rest == [r for r in clean["records"] if tuple_of(r) != broken]
+    assert {tuple_of(r) for r in clean["records"]} == {tuple_of(r) for r in report["records"]}
+    assert report["summary"] == {"pass": len(rest), "fail": 1, "skipped": 0, "tuples": 12}
+
+
+def test_verify_record_of_corrupted_model_fails_its_checks(monkeypatch):
+    real = cli.build_obm_unital
+    monkeypatch.setattr(
+        cli, "build_obm_unital", lambda ctx, plane, params: swapped_for_external(real(ctx, plane, params))
+    )
+    cli._init_worker(3, 1, None)
+    ctx = cli._WORKER["ctx"]
+    ((key, rec),) = cli._verify_chunk([(ctx.pack(1, 1), 0)])
+    assert key == (ctx.pack(1, 1), 0)
+    assert rec["status"] == "fail"
+    assert rec["checks"] == {
+        "size": True,
+        "unital_axiom": False,
+        "blocking": False,  # the dropped point's tangent now misses the set
+        "minimal": False,
+        "attains_bound": True,
+        "tangent_formula_matches_oracle": False,
+    }

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from unital_lab import (
     validate_params,
 )
 
-from conftest import PN_BY_Q, get_ctx, get_geometry
+from conftest import PN_BY_Q, get_ctx, get_geometry, swapped_for_external
 
 
 def brute_force_valid_pairs(ctx):
@@ -237,3 +239,85 @@ def test_blocking_report_and_negative_control():
     rep = broken.verify_minimal_blocking_set()
     assert not rep.blocking
     assert int(broken.line_counts[model.infinity_line]) == 0
+
+
+# -- the shared line pass against per-point arithmetic -----------------------------
+
+
+def _oracle_line_stats(model):
+    """Line sizes, tangents per point and the tangent at each point, from
+    incidence rows and the membership mask alone, one point at a time."""
+    plane, mask = model.plane, model.mask
+    sizes = np.array([int(mask[plane.points_on(line)].sum()) for line in plane.lines()])
+    tangents = {}
+    for point in model.points.tolist():
+        lines = plane.lines_through(point)
+        tangents[point] = [int(line) for line in lines if mask[plane.points_on(line)].sum() == 1]
+    return sizes, tangents
+
+
+def _corrupted(name):
+    ctx, plane = get_geometry(3, 1)
+    model = build_obm_unital(ctx, plane, validate_params(ctx, ctx.pack(1, 1), 0))
+    if name == "minus_infinity":
+        affine = model.points[model.points != model.infinity_point]
+        return UnitalModel(ctx, plane, affine, kind="corrupted")
+    if name == "swapped":
+        return swapped_for_external(model)
+    if name == "plus_external":  # still blocking, but the added point has no tangent
+        added = int(np.flatnonzero(~model.mask)[0])
+        return UnitalModel(ctx, plane, np.append(model.points, added), kind="corrupted")
+    return model
+
+
+@pytest.mark.parametrize("name", ["intact", "minus_infinity", "swapped", "plus_external"])
+@pytest.mark.parametrize("touch_first", [False, True], ids=["blocking_first", "touch_first"])
+def test_line_pass_matches_per_point_oracle(name, touch_first):
+    model = _corrupted(name)
+    q = model.ctx.q
+    sizes, tangents = _oracle_line_stats(model)
+    blocking = bool(np.all(sizes >= 1))
+    expected = {
+        "blocking": blocking,
+        "minimal": blocking and all(len(t) >= 1 for t in tangents.values()),
+        "attains_bound": model.size == q**3 + 1,
+        "size": model.size,
+        "bound": q**3 + 1,
+    }
+    one_tangent_each = all(len(t) == 1 for t in tangents.values())
+
+    def touch():
+        if not one_tangent_each:
+            with pytest.raises(StructuralViolation, match="exactly one tangent line"):
+                model.touch_points
+            return
+        expected_touch = np.full(model.plane.size, -1)
+        for point, (line,) in tangents.items():
+            expected_touch[line] = point
+        assert np.array_equal(model.touch_points, expected_touch)
+
+    def blocking_report():
+        assert vars(model.verify_minimal_blocking_set()) == expected
+
+    for step in (touch, blocking_report) if touch_first else (blocking_report, touch):
+        step()
+    assert np.array_equal(model.line_counts, sizes)
+    values, freq = np.unique(sizes, return_counts=True)
+    if set(values.tolist()) <= {1, q + 1}:
+        assert model.verify_unital_axiom() == dict(zip(values.tolist(), freq.tolist()))
+    else:
+        bad = sorted(set(values.tolist()) - {1, q + 1})
+        with pytest.raises(StructuralViolation, match=rf"sizes {re.escape(str(bad))} violate"):
+            model.verify_unital_axiom()
+
+
+def test_corrupted_models_reach_every_outcome():
+    # the oracle test above covers a set whose touch array exists although it
+    # is no unital, one where some point has no single tangent, and a
+    # blocking set that is not minimal
+    sizes, minus_infinity = _oracle_line_stats(_corrupted("minus_infinity"))
+    assert all(len(t) == 1 for t in minus_infinity.values()) and sizes.min() == 0
+    _, swapped = _oracle_line_stats(_corrupted("swapped"))
+    assert not all(len(t) == 1 for t in swapped.values())
+    sizes, plus_external = _oracle_line_stats(_corrupted("plus_external"))
+    assert sizes.min() >= 1 and min(len(t) for t in plus_external.values()) == 0
