@@ -8,7 +8,8 @@ reports, and open-problem scanners.
 
 Element syntax: GF(q) values are decimal codes, GF(q^2) values ``A+e*B``.
 Every long flag can be defaulted through an environment variable prefixed
-``UNITAL_LAB_`` (for example ``UNITAL_LAB_JOBS=4``); explicit flags win.
+``UNITAL_LAB_`` (for example ``UNITAL_LAB_JOBS=4``), checked like the flag
+itself; explicit flags win.
 
 Reports are deterministic: records are emitted in canonical parameter order
 and carry no timings (those go to stderr), so a sweep produces byte-identical
@@ -27,7 +28,6 @@ import multiprocessing as mp
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,130 +64,47 @@ FULL_POINT_SWEEP_MAX_Q = 5
 SECANT_SAMPLE = 200
 
 
-@dataclass
-class RunConfig:
-    command: str
-    p: int
-    n: int
-    w: int | None
-    alpha: str | None
-    beta: str | None
-    lam: str | None
-    point: str | None
-    problem: str | None
-    fmt: str
-    out: str | None
-    jobs: int
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's default 2
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
-
-
-def _env(name: str, fallback=None):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), fallback)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="unital-lab", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("verify", "build every requested unital and run the structural checks"),
-        ("pedal", "feet, census, trace classes and arcs for one external point"),
-        ("census", "line-pedal intersection census for one external point"),
-        ("orbit", "elation orbit of a canonical pedal, partition lines, census"),
-        ("scan", "open-problem scanners over all valid parameter pairs"),
-    ):
-        cmd = sub.add_parser(name, help=blurb)
-        cmd.add_argument("--p", type=int, help="odd prime")
-        cmd.add_argument("--n", type=int, help="tower degree, q = p^n")
-        cmd.add_argument("--w", type=int, help="non-square override for GF(q)")
-        cmd.add_argument("--alpha", help="GF(q^2) element A+e*B")
-        cmd.add_argument("--beta", help="GF(q^2) element A+e*B")
-        cmd.add_argument(
-            "--lambda", dest="lam", choices=("1", "w"),
-            help="canonical base point [0, lambda*e, 1]",
-        )
-        cmd.add_argument("--point", help="base point X,Y,Z")
-        cmd.add_argument("--problem", choices=tuple(_SCANS))
-        cmd.add_argument("--format", dest="fmt", choices=("json", "csv"))
-        cmd.add_argument("--out", help="output path (default stdout)")
-        cmd.add_argument("--jobs", type=int, help="worker count")
-    return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    """Every flag left out falls back to its UNITAL_LAB_ variable, read now,
-    so one parser serves every call of the process."""
-
-    def flag(dest, name=None, fallback=None):
-        value = getattr(args, dest)
-        return _env(name or dest, fallback) if value is None else value
-
-    p, w = flag("p"), flag("w")
-    if p is None:
-        raise ParameterError("--p is required")
-    return RunConfig(
-        command=args.command,
-        p=int(p),
-        n=int(flag("n", fallback="1")),
-        w=None if w is None else int(w),
-        alpha=flag("alpha"),
-        beta=flag("beta"),
-        lam=flag("lam", "lambda"),
-        point=flag("point"),
-        problem=flag("problem"),
-        fmt=flag("fmt", "format", "json"),
-        out=flag("out"),
-        jobs=max(1, int(flag("jobs", fallback="1"))),
-    )
-
-
 # -- shared machinery -------------------------------------------------------------
 
+# The field and the plane (incidence table built) of the last requested
+# (p, n, w); forked pool workers inherit it.
 _WORKER: dict = {}
 
 
-def _init_worker(p: int, n: int, w: int | None) -> None:
-    ctx = build_field_ctx(p, n, w)
-    plane = ProjectivePlane(ctx)
-    plane.incidence  # build once per worker
-    _WORKER["ctx"] = ctx
-    _WORKER["plane"] = plane
+def _context(p: int, n: int, w: int | None):
+    """(ctx, plane) for the requested (p, n, w), built only when another
+    triple was asked for last."""
+    if _WORKER.get("key") != (p, n, w):
+        ctx = build_field_ctx(p, n, w)
+        plane = ProjectivePlane(ctx)
+        plane.incidence
+        _WORKER.update(key=(p, n, w), ctx=ctx, plane=plane)
+    return _WORKER["ctx"], _WORKER["plane"]
 
 
-def _run_chunked(ctx, config: RunConfig, items: list, chunk_fn) -> list:
+def _run_chunked(args, items: list, chunk_fn) -> list:
     """Run chunk_fn over item chunks, in-process or in a pool, and merge the
     (key, record) results in canonical key order.  The pool gets
     min(--jobs, CPU count, chunk count) processes; with one, the items run
-    in-process.  The in-process worker context is reused only for the same
-    (p, n, w) as ctx."""
-    workers = min(config.jobs, os.cpu_count() or 1)
+    in-process.  Callers prime the worker context first."""
+    workers = min(max(1, args.jobs), os.cpu_count() or 1)
     chunk = max(1, len(items) // (workers * 4))
     chunks = [items[i : i + chunk] for i in range(0, len(items), chunk)]
     workers = min(workers, len(chunks))
     if workers <= 1:
-        cached = _WORKER.get("ctx")
-        if cached is None or (cached.p, cached.n, cached.w) != (ctx.p, ctx.n, ctx.w):
-            _init_worker(ctx.p, ctx.n, ctx.w)
         keyed = chunk_fn(items)
     else:
-        with mp.get_context("fork").Pool(
-            workers, initializer=_init_worker, initargs=(ctx.p, ctx.n, ctx.w)
-        ) as pool:
+        with mp.get_context("fork").Pool(workers) as pool:
             keyed = [rec for part in pool.map(chunk_fn, chunks) for rec in part]
     keyed.sort(key=lambda kr: kr[0])
     return [rec for _, rec in keyed]
 
 
-def _pair_list(ctx, config: RunConfig) -> list[tuple[int, int]]:
-    if config.alpha is not None and config.beta is not None:
-        return [(ctx.parse_fq2(config.alpha), ctx.parse_fq2(config.beta))]
-    alphas = [ctx.parse_fq2(config.alpha)] if config.alpha is not None else range(ctx.q2)
-    betas = [ctx.parse_fq2(config.beta)] if config.beta is not None else range(ctx.q2)
+def _pair_list(ctx, args) -> list[tuple[int, int]]:
+    if args.alpha is not None and args.beta is not None:
+        return [(ctx.parse_fq2(args.alpha), ctx.parse_fq2(args.beta))]
+    alphas = [ctx.parse_fq2(args.alpha)] if args.alpha is not None else range(ctx.q2)
+    betas = [ctx.parse_fq2(args.beta)] if args.beta is not None else range(ctx.q2)
     return [(a, b) for a in alphas for b in betas]
 
 
@@ -250,40 +167,45 @@ def _verify_chunk(pairs) -> list:
     return out
 
 
-def cmd_verify(config: RunConfig) -> tuple[dict, int]:
-    ctx = build_field_ctx(config.p, config.n, config.w)
-    pairs = _pair_list(ctx, config)
-    records = _run_chunked(ctx, config, pairs, _verify_chunk)
+def cmd_verify(args) -> tuple[dict, int]:
+    ctx, _ = _context(args.p, args.n, args.w)
+    records = _run_chunked(args, _pair_list(ctx, args), _verify_chunk)
     summary = {
         "pass": sum(1 for r in records if r.get("status") == "pass"),
         "fail": sum(1 for r in records if r.get("status") == "fail"),
         "skipped": sum(1 for r in records if str(r.get("status")).startswith("skipped")),
     }
-    report = _report_envelope("verify", ctx, config, records, summary)
+    report = _report_envelope("verify", ctx, args, records, summary)
     return report, (2 if summary["fail"] else 0)
 
 
 # -- pedal / census / orbit --------------------------------------------------------
 
 
-def _single_tuple(config: RunConfig):
-    if config.alpha is None or config.beta is None:
-        raise ParameterError(f"{config.command} requires --alpha and --beta")
-    ctx = build_field_ctx(config.p, config.n, config.w)
-    plane = ProjectivePlane(ctx)
-    alpha, beta = ctx.parse_fq2(config.alpha), ctx.parse_fq2(config.beta)
-    model = _model_for(ctx, plane, alpha, beta)
+def _single_tuple(args):
+    if args.alpha is None or args.beta is None:
+        raise ParameterError(f"{args.command} requires --alpha and --beta")
+    ctx, plane = _context(args.p, args.n, args.w)
+    model = _model_for(ctx, plane, ctx.parse_fq2(args.alpha), ctx.parse_fq2(args.beta))
     return ctx, plane, model
 
 
-def _resolve_base(ctx, plane, model, config: RunConfig):
+def _single_report(args, ctx, model, fields: dict) -> tuple[dict, int]:
+    """The one-record report of pedal, census and orbit: the tuple's record
+    base followed by the command's fields; it passes by construction."""
+    rec = {**_record_base(ctx, model.params.alpha, model.params.beta), **fields}
+    summary = {"pass": 1, "fail": 0, "skipped": 0}
+    return _report_envelope(args.command, ctx, args, [rec], summary), 0
+
+
+def _resolve_base(ctx, plane, model, args):
     """(base point id, lam or None) from --lambda / --point."""
-    if config.lam is not None:
-        lam = 1 if config.lam == "1" else ctx.w
+    if args.lam is not None:
+        lam = 1 if args.lam == "1" else ctx.w
         return canonical_base_point(model, lam), lam
-    if config.point is None:
-        raise ParameterError(f"{config.command} requires --lambda or --point")
-    base = plane.parse_point(config.point)
+    if args.point is None:
+        raise ParameterError(f"{args.command} requires --lambda or --point")
+    base = plane.parse_point(args.point)
     if base in model:
         raise ParameterError(
             f"point {plane.format_point(base)} lies on the unital; pedals are "
@@ -336,50 +258,39 @@ def _pedal_payload(ctx, plane, model, base, lam) -> dict:
     return rec
 
 
-def cmd_pedal(config: RunConfig) -> tuple[dict, int]:
-    ctx, plane, model = _single_tuple(config)
-    base, lam = _resolve_base(ctx, plane, model, config)
-    rec = _record_base(ctx, model.params.alpha, model.params.beta)
-    rec.update(_pedal_payload(ctx, plane, model, base, lam))
-    report = _report_envelope("pedal", ctx, config, [rec], {"pass": 1, "fail": 0, "skipped": 0})
-    return report, 0
+def cmd_pedal(args) -> tuple[dict, int]:
+    ctx, plane, model = _single_tuple(args)
+    base, lam = _resolve_base(ctx, plane, model, args)
+    return _single_report(args, ctx, model, _pedal_payload(ctx, plane, model, base, lam))
 
 
-def cmd_census(config: RunConfig) -> tuple[dict, int]:
-    ctx, plane, model = _single_tuple(config)
-    base, lam = _resolve_base(ctx, plane, model, config)
+def cmd_census(args) -> tuple[dict, int]:
+    ctx, plane, model = _single_tuple(args)
+    base, lam = _resolve_base(ctx, plane, model, args)
     pedal = feet_closed_form(model, lam) if lam is not None else feet_of(model, base)
     census = line_pedal_census(model, pedal)
-    rec = _record_base(ctx, model.params.alpha, model.params.beta)
-    rec.update(census.as_json_dict(plane, base=base))
-    report = _report_envelope("census", ctx, config, [rec], {"pass": 1, "fail": 0, "skipped": 0})
-    return report, 0
+    return _single_report(args, ctx, model, census.as_json_dict(plane, base=base))
 
 
-def cmd_orbit(config: RunConfig) -> tuple[dict, int]:
-    ctx, plane, model = _single_tuple(config)
-    if config.lam is None:
+def cmd_orbit(args) -> tuple[dict, int]:
+    ctx, plane, model = _single_tuple(args)
+    if args.lam is None:
         raise ParameterError("orbit requires --lambda (canonical frame)")
-    lam = 1 if config.lam == "1" else ctx.w
-    pedal = feet_closed_form(model, lam)
-    orbit = orbit_of_pedal(model, pedal)
+    lam = 1 if args.lam == "1" else ctx.w
+    orbit = orbit_of_pedal(model, feet_closed_form(model, lam))
     lines = partition_lines_for_orbit(model, orbit)
     census = orbit_line_census(model, orbit)
-    rec = _record_base(ctx, model.params.alpha, model.params.beta)
-    rec.update(
-        {
-            "lambda": config.lam,
-            "pedals": [
-                {"t": t, "feet": [plane.format_point(PointId(f)) for f in feet]}
-                for t, feet in orbit.pedals
-            ],
-            "partition_lines": [plane.format_line(l) for l in lines],
-            "census_histogram": {str(s): c for s, c in sorted(census.histogram.items())},
-            "incidence_stats": orbit_incidence_stats(model, orbit),
-        }
-    )
-    report = _report_envelope("orbit", ctx, config, [rec], {"pass": 1, "fail": 0, "skipped": 0})
-    return report, 0
+    fields = {
+        "lambda": args.lam,
+        "pedals": [
+            {"t": t, "feet": [plane.format_point(PointId(f)) for f in feet]}
+            for t, feet in orbit.pedals
+        ],
+        "partition_lines": [plane.format_line(l) for l in lines],
+        "census_histogram": {str(s): c for s, c in sorted(census.histogram.items())},
+        "incidence_stats": orbit_incidence_stats(model, orbit),
+    }
+    return _single_report(args, ctx, model, fields)
 
 
 # -- scan -------------------------------------------------------------------------
@@ -418,16 +329,17 @@ def _scan_four_lines(model) -> list:
     # A line meets a pedal in as many points as it occurs among the feet's
     # incidence rows.  Sort each pedal's rows; a run of k equal line ids in a
     # row shows as equal entries k-1 apart, so grow k while some row has one.
+    # The canonical bases are among the scanned ones, so the longest run also
+    # covers both censuses.
     lines = model.plane.incidence[feet].reshape(feet.shape[0], -1)
     lines.sort(axis=1)
     longest_run = 1
     while np.any(lines[:, longest_run:] == lines[:, :-longest_run]):
         longest_run += 1
-    max_size = max([census.max_size() for census in censuses] + [longest_run])
     fields = {
         "scanned_bases": int(bases.size),
-        "max_line_size": max_size,
-        "size4_lines_exist": max_size >= 4,
+        "max_line_size": longest_run,
+        "size4_lines_exist": longest_run >= 4,
         "lambda_censuses_equal": censuses[0].histogram == censuses[1].histogram,
     }
     return [(0, fields)]
@@ -508,27 +420,27 @@ def _scan_chunk(problem: str, tuples) -> list:
     return out
 
 
-def cmd_scan(config: RunConfig) -> tuple[dict, int]:
-    if config.problem is None:
+def cmd_scan(args) -> tuple[dict, int]:
+    if args.problem is None:
         raise ParameterError("scan requires --problem")
-    ctx = build_field_ctx(config.p, config.n, config.w)
-    alpha = None if config.alpha is None else ctx.parse_fq2(config.alpha)
-    beta = None if config.beta is None else ctx.parse_fq2(config.beta)
+    ctx, _ = _context(args.p, args.n, args.w)
+    alpha = None if args.alpha is None else ctx.parse_fq2(args.alpha)
+    beta = None if args.beta is None else ctx.parse_fq2(args.beta)
     tuples = [
         (t.alpha, t.beta)
         for t in valid_parameter_pairs(ctx, nonclassical_only=True, alpha=alpha, beta=beta)
     ]
-    records = _run_chunked(ctx, config, tuples, functools.partial(_scan_chunk, config.problem))
+    records = _run_chunked(args, tuples, functools.partial(_scan_chunk, args.problem))
     failed = sum(1 for r in records if r.get("status") == "fail")
     summary = {"pass": len(records) - failed, "fail": failed, "skipped": 0, "tuples": len(tuples)}
-    report = _report_envelope(f"scan:{config.problem}", ctx, config, records, summary)
+    report = _report_envelope(f"scan:{args.problem}", ctx, args, records, summary)
     return report, (2 if failed else 0)
 
 
 # -- emission ----------------------------------------------------------------------
 
 
-def _report_envelope(command: str, ctx, config: RunConfig, records, summary) -> dict:
+def _report_envelope(command: str, ctx, args, records, summary) -> dict:
     return {
         "tool": {"name": "unital-lab", "version": __version__},
         "command": command,
@@ -537,11 +449,11 @@ def _report_envelope(command: str, ctx, config: RunConfig, records, summary) -> 
             "n": ctx.n,
             "w": ctx.w,
             "q": ctx.q,
-            "alpha": config.alpha,
-            "beta": config.beta,
-            "lambda": config.lam,
-            "point": config.point,
-            "problem": config.problem,
+            "alpha": args.alpha,
+            "beta": args.beta,
+            "lambda": args.lam,
+            "point": args.point,
+            "problem": args.problem,
         },
         "records": records,
         "summary": summary,
@@ -579,10 +491,10 @@ def render_report(report: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _emit(report: dict, config: RunConfig) -> None:
-    text = render_report(report, config.fmt)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+def _emit(report: dict, args) -> None:
+    text = render_report(report, args.fmt)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -597,19 +509,77 @@ _COMMANDS = {
 }
 
 
+# -- entry point -------------------------------------------------------------------
+
+# Every command takes these flags; UNITAL_LAB_<FLAG> (upper case, from the
+# option string) supplies a default for each.
+_FLAGS = (
+    ("--p", {"type": int, "required": True, "help": "odd prime"}),
+    ("--n", {"type": int, "default": 1, "help": "tower degree, q = p^n"}),
+    ("--w", {"type": int, "help": "non-square override for GF(q)"}),
+    ("--alpha", {"help": "GF(q^2) element A+e*B"}),
+    ("--beta", {"help": "GF(q^2) element A+e*B"}),
+    ("--lambda", {
+        "dest": "lam", "choices": ("1", "w"), "help": "canonical base point [0, lambda*e, 1]",
+    }),
+    ("--point", {"help": "base point X,Y,Z"}),
+    ("--problem", {"choices": tuple(_SCANS)}),
+    ("--format", {"dest": "fmt", "choices": ("json", "csv"), "default": "json"}),
+    ("--out", {"help": "output path (default stdout)"}),
+    ("--jobs", {"type": int, "default": 1, "help": "worker count (below 1 means 1)"}),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors exit 1, not argparse's default 2
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise SystemExit(1)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="unital-lab", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, blurb in (
+        ("verify", "build every requested unital and run the structural checks"),
+        ("pedal", "feet, census, trace classes and arcs for one external point"),
+        ("census", "line-pedal intersection census for one external point"),
+        ("orbit", "elation orbit of a canonical pedal, partition lines, census"),
+        ("scan", "open-problem scanners over all valid parameter pairs"),
+    ):
+        cmd = sub.add_parser(name, help=blurb)
+        for option, settings in _FLAGS:
+            cmd.add_argument(option, **settings)
+    return parser
+
+
 _PARSER = _build_parser()
 
 
+def _with_env_flags(argv: list[str]) -> list[str]:
+    """argv with each set UNITAL_LAB_<FLAG> put right after the command as
+    ``--<flag>=<value>``: argparse then checks it like a typed flag, and an
+    explicit flag, coming later, wins."""
+    if not argv or argv[0] not in _COMMANDS:
+        return argv
+    env = []
+    for option, _ in _FLAGS:
+        value = os.environ.get(ENV_PREFIX + option[2:].upper())
+        if value is not None:
+            env.append(f"{option}={value}")
+    return [argv[0], *env, *argv[1:]]
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_with_env_flags(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        config = _config_from_args(args)
-        report, code = _COMMANDS[config.command](config)
-        _emit(report, config)
+        report, code = _COMMANDS[args.command](args)
+        _emit(report, args)
     except (
         TheoremViolation,
         StructuralViolation,
@@ -623,7 +593,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"unital-lab: error: {exc}\n")
         return 1
     sys.stderr.write(
-        f"# unital-lab {config.command} finished in {time.perf_counter() - started:.2f}s\n"
+        f"# unital-lab {args.command} finished in {time.perf_counter() - started:.2f}s\n"
     )
     return code
 

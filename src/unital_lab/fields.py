@@ -227,25 +227,9 @@ class FieldCtx:
     def qdiv(self, a, b):
         return self.qmul(a, self.qinv(b))
 
-    def qpow(self, a, e: int):
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("0 to a negative power in GF(q)")
-            return 0
-        e %= self.q - 1
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.qmul(out, base)
-            base = self.qmul(base, base)
-            e >>= 1
-        return out
-
     def is_square(self, a) -> bool:
-        """Quadratic-character test: a is a square iff a = 0 or a^((q-1)/2) = 1."""
-        return a == 0 or self.qpow(a, (self.q - 1) // 2) == 1
+        """True when a is 0 or a nonzero square of GF(q)."""
+        return bool(self.square_mask[a])
 
     # -- GF(q^2) scalar operations ----------------------------------------
 

@@ -22,7 +22,6 @@ compared on every element and any disagreement raises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -87,9 +86,6 @@ class IntersectionCensus:
 
     def support(self) -> set[int]:
         return {size for size, count in self.histogram.items() if count}
-
-    def max_size(self) -> int:
-        return max(self.support(), default=0)
 
     def as_json_dict(self, plane, base: PointId | None = None) -> dict:
         out = {
@@ -402,8 +398,8 @@ def two_arc_partition(U: UnitalModel, pedal: PedalSet) -> tuple[tuple[int, ...],
     and the other pair to the second.  Both parts are then re-checked for
     three collinear points exhaustively.
 
-    A pedal without canonical data is handled by locating the 4-point lines
-    by brute force; any 2+2 split of each such line works, and the points are
+    A pedal without canonical data takes its 4-point lines from the census
+    witnesses; any 2+2 split of each such line works, and the points are
     paired by sorted id.
     """
     plane = U.plane
@@ -428,28 +424,17 @@ def two_arc_partition(U: UnitalModel, pedal: PedalSet) -> tuple[tuple[int, ...],
             else:
                 raise TheoremViolation(f"trace class of size {len(cls)}; expected 2 or 4")
     else:
-        feet = np.asarray(pedal.feet, dtype=np.int32)
-        in_pedal = set(pedal.feet)
-        four_lines: dict[int, list[int]] = {}
-        seen = set()
-        for i, j in combinations(range(feet.size), 2):
-            lid = plane.join(PointId(int(feet[i])), PointId(int(feet[j])))
-            if lid in seen:
-                continue
-            seen.add(lid)
-            on = [int(pt) for pt in plane.points_on(LineId(lid)) if int(pt) in in_pedal]
-            if len(on) > 4 or len(on) == 3:
-                raise TheoremViolation(f"line meets pedal in {len(on)} points")
-            if len(on) == 4:
-                four_lines[int(lid)] = sorted(on)
+        census = IntersectionCensus(plane, pedal.feet)
+        bad = sorted(size for size in census.support() if size == 3 or size > 4)
+        if bad:
+            raise TheoremViolation(f"line meets pedal in {bad[0]} points")
         covered: set[int] = set()
-        for lid in sorted(four_lines):
-            on = four_lines[lid]
+        for _, on in census.witnesses.get(4, []):
             if covered & set(on):
                 raise TheoremViolation("4-point lines overlap on the pedal")
             covered.update(on)
             part2.extend(on[2:])
-        part1.extend(int(f) for f in feet if int(f) not in set(part2))
+        part1.extend(set(pedal.feet).difference(part2))
 
     a1, a2 = tuple(sorted(part1)), tuple(sorted(part2))
     if set(a1) | set(a2) != set(pedal.feet) or set(a1) & set(a2):

@@ -250,6 +250,51 @@ def test_env_defaults_read_on_every_call(capsys, monkeypatch):
     assert code == 0 and out.lstrip().startswith("{")
 
 
+@pytest.mark.parametrize(
+    "name, value, args",
+    [
+        ("LAMBDA", "x", ["pedal", "--p", "3", "--alpha", "1+e", "--beta", "0"]),
+        ("FORMAT", "xml", ["verify", "--p", "3", "--alpha", "1+e", "--beta", "0"]),
+        ("PROBLEM", "bogus", ["scan", "--p", "3"]),
+        ("JOBS", "abc", ["verify", "--p", "3", "--alpha", "1+e", "--beta", "0"]),
+        ("P", "three", ["verify", "--alpha", "1+e", "--beta", "0"]),
+    ],
+)
+def test_env_values_are_checked_like_flags(name, value, args, capsys, monkeypatch):
+    monkeypatch.setenv(f"UNITAL_LAB_{name}", value)
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "invalid" in captured.err and repr(value) in captured.err
+
+
+def test_explicit_flag_overrides_invalid_or_valid_env(capsys, monkeypatch):
+    pedal = ["pedal", "--p", "3", "--alpha", "1+e", "--beta", "0"]
+    _, reference = run_json([*pedal, "--lambda", "w"], capsys)
+    monkeypatch.setenv("UNITAL_LAB_LAMBDA", "1")
+    code, report = run_json([*pedal, "--lambda", "w"], capsys)
+    assert code == 0 and report == reference
+    monkeypatch.setenv("UNITAL_LAB_LAMBDA", "x")  # argparse checks the env value first
+    assert run_cli([*pedal, "--lambda", "w"], capsys)[0] == 1
+    monkeypatch.setenv("UNITAL_LAB_JOBS", "0")  # below 1 means 1
+    monkeypatch.setenv("UNITAL_LAB_LAMBDA", "w")
+    code, report = run_json(pedal, capsys)
+    assert code == 0 and report == reference
+
+
+def test_commands_share_one_context(capsys):
+    pedal = ["pedal", "--p", "3", "--alpha", "1+e", "--beta", "0", "--lambda", "1"]
+    cli._WORKER.clear()
+    assert run_cli(pedal, capsys)[0] == 0
+    plane = cli._WORKER["plane"]
+    assert run_cli(pedal, capsys)[0] == 0
+    assert run_cli(["census", *pedal[1:]], capsys)[0] == 0
+    assert run_cli(["verify", *pedal[1:-2]], capsys)[0] == 0
+    assert cli._WORKER["plane"] is plane
+    assert run_cli([*pedal, "--w", "2"], capsys)[0] == 0  # another requested triple
+    assert cli._WORKER["plane"] is not plane
+
+
 def test_csv_projection_rows(capsys):
     code, out = run_cli(["verify", "--p", "3", "--n", "1", "--format", "csv"], capsys)
     assert code == 0
@@ -303,9 +348,8 @@ class _RecordingContext:
     def __init__(self):
         self.processes = []
 
-    def Pool(self, processes, initializer, initargs):
+    def Pool(self, processes):
         self.processes.append(processes)
-        initializer(*initargs)
         return self
 
     def __enter__(self):
@@ -375,7 +419,7 @@ def test_verify_record_of_corrupted_model_fails_its_checks(monkeypatch):
     monkeypatch.setattr(
         cli, "build_obm_unital", lambda ctx, plane, params: swapped_for_external(real(ctx, plane, params))
     )
-    cli._init_worker(3, 1, None)
+    cli._context(3, 1, None)
     ctx = cli._WORKER["ctx"]
     ((key, rec),) = cli._verify_chunk([(ctx.pack(1, 1), 0)])
     assert key == (ctx.pack(1, 1), 0)

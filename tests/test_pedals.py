@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -367,6 +368,32 @@ def test_two_arc_partition_generic_path(q5_model):
         assert set(a1) | set(a2) == set(closed.feet)
         assert not plane.has_three_collinear(a1)
         assert not plane.has_three_collinear(a2)
+
+
+def _generic_partitions(model, step=1):
+    """(base, part1, part2) of two_arc_partition on brute-force pedals of
+    every step-th external point off the line at infinity."""
+    plane = model.plane
+    on_linf = np.zeros(plane.size, dtype=bool)
+    on_linf[plane.points_on(plane.infinity_line)] = True
+    bases = np.flatnonzero(~model.mask & ~on_linf)[::step]
+    return [(int(b), *two_arc_partition(model, feet_of(model, int(b)))) for b in bases]
+
+
+def test_two_arc_partition_generic_path_golden():
+    # digest recorded with the pairwise join/points_on search this branch
+    # used before it read the 4-point lines from the census witnesses
+    ctx3, plane3 = get_geometry(3, 1)
+    rows = [
+        row
+        for params in valid_parameter_pairs(ctx3, nonclassical_only=True)
+        for row in _generic_partitions(build_obm_unital(ctx3, plane3, params))
+    ]
+    ctx5, plane5 = get_geometry(5, 1)
+    rows += _generic_partitions(build_obm_unital(ctx5, plane5, validate_params(ctx5, 1, ctx5.eps)), 7)
+    assert len(rows) == 720
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "3a39c65446136046640ea44c534b496fe3003821d7de6cf463d9fa3ab38102a8"
 
 
 # -- conics ------------------------------------------------------------------------
