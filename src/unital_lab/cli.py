@@ -325,21 +325,13 @@ def _scan_four_lines(model) -> list:
         line_pedal_census(model, feet_closed_form(model, lam)) for _, lam in _lambdas(model.ctx)
     ]
     bases = _scan_bases(model)
-    feet, _ = feet_of_many(model, bases)
-    # A line meets a pedal in as many points as it occurs among the feet's
-    # incidence rows.  Sort each pedal's rows; a run of k equal line ids in a
-    # row shows as equal entries k-1 apart, so grow k while some row has one.
-    # The canonical bases are among the scanned ones, so the longest run also
-    # covers both censuses.
-    lines = model.plane.incidence[feet].reshape(feet.shape[0], -1)
-    lines.sort(axis=1)
-    longest_run = 1
-    while np.any(lines[:, longest_run:] == lines[:, :-longest_run]):
-        longest_run += 1
+    # The canonical bases are among the scanned ones, so this also covers
+    # both censuses.
+    max_line_size = int(model.plane.max_collinear(feet_of_many(model, bases)).max())
     fields = {
         "scanned_bases": int(bases.size),
-        "max_line_size": longest_run,
-        "size4_lines_exist": longest_run >= 4,
+        "max_line_size": max_line_size,
+        "size4_lines_exist": max_line_size >= 4,
         "lambda_censuses_equal": censuses[0].histogram == censuses[1].histogram,
     }
     return [(0, fields)]
@@ -558,14 +550,19 @@ _PARSER = _build_parser()
 
 def _with_env_flags(argv: list[str]) -> list[str]:
     """argv with each set UNITAL_LAB_<FLAG> put right after the command as
-    ``--<flag>=<value>``: argparse then checks it like a typed flag, and an
-    explicit flag, coming later, wins."""
+    ``--<flag>=<value>``, so an explicit flag, coming later, wins.  Each value
+    is first parsed alone, by the flag's own type and choices, as an argument
+    named after its variable, so a bad one is reported under that name."""
     if not argv or argv[0] not in _COMMANDS:
         return argv
     env = []
-    for option, _ in _FLAGS:
-        value = os.environ.get(ENV_PREFIX + option[2:].upper())
+    for option, settings in _FLAGS:
+        name = ENV_PREFIX + option[2:].upper()
+        value = os.environ.get(name)
         if value is not None:
+            check = _Parser(prog=f"unital-lab {argv[0]}", usage=argparse.SUPPRESS, add_help=False)
+            check.add_argument(name, type=settings.get("type"), choices=settings.get("choices"))
+            check.parse_args(["--", value])
             env.append(f"{option}={value}")
     return [argv[0], *env, *argv[1:]]
 

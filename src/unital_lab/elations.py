@@ -81,7 +81,7 @@ def orbit_of_pedal(U: UnitalModel, pedal: PedalSet) -> OrbitSet:
     group = ElationGroup(U)
     ts = np.arange(group.order, dtype=np.int32)[:, None]
     moved_bases = group.apply_points(ts, [pedal.base])[:, 0]
-    fresh, _ = feet_of_many(U, moved_bases)
+    fresh = feet_of_many(U, moved_bases)
     images = np.sort(group.apply_points(ts, pedal.feet), axis=1)
     differs = np.nonzero(np.any(images != fresh, axis=1))[0]
     if differs.size:

@@ -132,11 +132,10 @@ def feet_of(U: UnitalModel, point: PointId) -> PedalSet:
     )
 
 
-def feet_of_many(U: UnitalModel, bases) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized pedals for an array of external base points.
-
-    Returns (feet matrix of shape (len(bases), q+1), collinear flags).
-    Same incidence+membership route as :func:`feet_of`, batched.
+def feet_of_many(U: UnitalModel, bases) -> np.ndarray:
+    """Vectorized pedals for an array of external base points: the feet
+    matrix of shape (len(bases), q+1), each row in id order.  Row i is
+    collinear exactly when ``U.plane.max_collinear(feet)[i] == q + 1``.
     """
     plane = U.plane
     bases = np.asarray(bases, dtype=np.int32)
@@ -148,10 +147,7 @@ def feet_of_many(U: UnitalModel, bases) -> tuple[np.ndarray, np.ndarray]:
         raise TheoremViolation("some base point does not lie on exactly q+1 tangent lines")
     feet = U.touch_points[lines[tangent]].reshape(bases.size, U.ctx.q + 1)
     feet.sort(axis=1)
-    coords = plane._coords[feet]
-    chord = plane.vcross(coords[:, 0, :], coords[:, 1, :])
-    collinear = np.all(plane.vdot(coords, chord[:, None, :]) == 0, axis=1)
-    return feet, collinear
+    return feet
 
 
 # -- canonical frame -----------------------------------------------------------
@@ -249,7 +245,7 @@ def feet_closed_form(U: UnitalModel, lam: int) -> PedalSet:
 
     ax2 = mul[p.alpha, mul[xs, xs]]
     lam_eps = ctx.pack(0, lam)
-    y1 = add[ctx.trace_t[ax2], neg[lam_eps]]
+    y1 = add[trace_value(U, xs), neg[lam_eps]]
     ids = plane.point_ids_vec(xs, y1, np.ones_like(xs))
 
     two = ctx.scalar(2)
@@ -295,10 +291,10 @@ def line_pedal_census(U: UnitalModel, pedal: PedalSet) -> IntersectionCensus:
 # -- trace classes and the quadratic cross-check ----------------------------------
 
 
-def trace_value(U: UnitalModel, x: int) -> int:
-    """T(alpha * x^2) as a GF(q) code."""
+def trace_value(U: UnitalModel, x):
+    """T(alpha * x^2) as GF(q) codes, for a code or an array of codes."""
     ctx = U.ctx
-    return ctx.trace(ctx.mul(U.params.alpha, ctx.mul(x, x)))
+    return ctx.trace_t[ctx.mul_t[U.params.alpha, ctx.mul_t[x, x]]]
 
 
 def trace_level_line(U: UnitalModel, lam: int, x: int) -> LineId:
@@ -317,10 +313,8 @@ def trace_classes(U: UnitalModel, lam: int, params=None) -> dict[int, tuple[int,
     """
     _require_nonclassical(U)
     xs = foot_parameters(U, lam) if params is None else np.asarray(params, dtype=np.int32)
-    ctx = U.ctx
-    tv = ctx.trace_t[ctx.mul_t[U.params.alpha, ctx.mul_t[xs, xs]]]
     classes: dict[int, list[int]] = {}
-    for x, t in zip(xs, tv):
+    for x, t in zip(xs, trace_value(U, xs)):
         classes.setdefault(int(t), []).append(int(x))
     return {t: tuple(sorted(v)) for t, v in sorted(classes.items())}
 
@@ -351,11 +345,9 @@ def same_trace_solutions(U: UnitalModel, lam: int, x: int) -> tuple[int, ...]:
         raise ValueError(f"x = {ctx.format_fq2(x)} is not a foot parameter")
     target = trace_value(U, x)
 
-    codes = np.arange(ctx.q2, dtype=np.int32)
-    tr_all = ctx.trace_t[ctx.mul_t[U.params.alpha, ctx.mul_t[codes, codes]]]
     member = np.zeros(ctx.q2, dtype=bool)
     member[params] = True
-    direct = np.nonzero((tr_all == target) & member)[0]
+    direct = np.nonzero((trace_value(U, np.arange(ctx.q2)) == target) & member)[0]
 
     qa, qm, qn = ctx.qadd_t, ctx.qmul_t, ctx.qneg_t
     a1, a2 = ctx.unpack(U.params.alpha)
@@ -460,24 +452,17 @@ class Conic:
 
     coeffs: tuple[int, int, int, int, int, int]
 
-    def evaluate(self, ctx, triple) -> int:
-        a, b, c = triple
-        c0, c1, c2, c3, c4, c5 = self.coeffs
-        mul, add = ctx.mul, ctx.add
-        total = 0
-        for coef, val in (
-            (c0, mul(a, a)),
-            (c1, mul(b, b)),
-            (c2, mul(c, c)),
-            (c3, mul(a, b)),
-            (c4, mul(a, c)),
-            (c5, mul(b, c)),
-        ):
-            total = add(total, mul(coef, val))
-        return total
+    def contains_points(self, plane, points) -> np.ndarray:
+        """Per point, whether the form vanishes at its coordinates."""
+        add, mul = plane.ctx.add_t, plane.ctx.mul_t
+        terms = mul[np.asarray(self.coeffs, dtype=np.int32), _monomials(plane, points)]
+        total = terms[:, 0]
+        for col in range(1, 6):
+            total = add[total, terms[:, col]]
+        return total == 0
 
     def contains(self, plane, point: PointId) -> bool:
-        return self.evaluate(plane.ctx, plane.coords(point)) == 0
+        return bool(self.contains_points(plane, [point])[0])
 
     def matrix(self, ctx) -> list[list[int]]:
         """The symmetric Gram matrix (valid since p is odd)."""
@@ -524,6 +509,12 @@ def _gf_nullspace(ctx, rows) -> list[list[int]]:
     return basis
 
 
+def _monomials(plane, points) -> np.ndarray:
+    """(k, 6) codes of x^2, y^2, z^2, xy, xz, yz at the points' coordinates."""
+    c = plane._coords[np.asarray(points, dtype=np.int32)]
+    return plane.ctx.mul_t[c[:, [0, 1, 2, 0, 0, 1]], c[:, [0, 1, 2, 1, 2, 2]]]
+
+
 def conic_through(plane, points) -> Conic:
     """The unique conic through five points (no four collinear); the 5x6
     homogeneous system must have nullity exactly one."""
@@ -531,20 +522,7 @@ def conic_through(plane, points) -> Conic:
     if len(pts) != 5 or len(set(pts)) != 5:
         raise DegenerateInput("conic_through expects five distinct points")
     ctx = plane.ctx
-    rows = []
-    for p in pts:
-        a, b, c = plane.coords(p)
-        rows.append(
-            [
-                ctx.mul(a, a),
-                ctx.mul(b, b),
-                ctx.mul(c, c),
-                ctx.mul(a, b),
-                ctx.mul(a, c),
-                ctx.mul(b, c),
-            ]
-        )
-    basis = _gf_nullspace(ctx, rows)
+    basis = _gf_nullspace(ctx, _monomials(plane, pts).tolist())
     if len(basis) != 1:
         raise DegenerateConfiguration(
             f"five points determine a conic pencil of dimension {len(basis)}; "
@@ -582,9 +560,9 @@ def arc_in_conic(plane, arc) -> ConicFitResult:
             continue
     if conic is None:
         return ConicFitResult(contained=False, conic=None, status="degenerate")
-    for p in ids:
-        if not conic.contains(plane, PointId(p)):
-            return ConicFitResult(contained=False, conic=conic, status="ok", off_point=p)
+    off = np.flatnonzero(~conic.contains_points(plane, ids))
+    if off.size:
+        return ConicFitResult(contained=False, conic=conic, status="ok", off_point=ids[off[0]])
     return ConicFitResult(contained=True, conic=conic, status="ok")
 
 

@@ -17,7 +17,6 @@ aliases below keep the two argument kinds apart in signatures.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NewType
 
 import numpy as np
@@ -114,11 +113,7 @@ class ProjectivePlane:
     # -- incidence -----------------------------------------------------------
 
     def incident(self, point: PointId, line: LineId) -> bool:
-        ctx = self.ctx
-        pa, pb, pc = self._coords[point]
-        lx, ly, lz = self._coords[line]
-        s = ctx.add(ctx.add(ctx.mul(pa, lx), ctx.mul(pb, ly)), ctx.mul(pc, lz))
-        return s == 0
+        return bool(self.vdot(self._coords[point], self._coords[line]) == 0)
 
     @property
     def incidence(self) -> np.ndarray:
@@ -176,26 +171,15 @@ class ProjectivePlane:
 
     # -- join / meet -----------------------------------------------------------
 
-    def _cross(self, u, v) -> tuple[int, int, int]:
-        ctx = self.ctx
-        m, s = ctx.mul, ctx.sub
-        return (
-            s(m(u[1], v[2]), m(u[2], v[1])),
-            s(m(u[2], v[0]), m(u[0], v[2])),
-            s(m(u[0], v[1]), m(u[1], v[0])),
-        )
-
     def join(self, p: PointId, q: PointId) -> LineId:
         if p == q:
             raise DegenerateInput("join of a point with itself")
-        w = self._cross(self.coords(p), self.coords(q))
-        return self.line_id(*w)
+        return self.line_id(*self.vcross(self._coords[p], self._coords[q]))
 
     def meet(self, l: LineId, m: LineId) -> PointId:
         if l == m:
             raise DegenerateInput("meet of a line with itself")
-        w = self._cross(self.coords(l), self.coords(m))
-        return self.point_id(*w)
+        return self.point_id(*self.vcross(self._coords[l], self._coords[m]))
 
     def vcross(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Cross products of (..., 3) coordinate-code arrays."""
@@ -214,25 +198,36 @@ class ProjectivePlane:
 
     # -- bulk geometry helpers ---------------------------------------------------
 
+    def max_collinear(self, point_sets) -> np.ndarray:
+        """For an (m, k) array of point ids, distinct within each row: per row,
+        the largest number of the row's points on one line.
+
+        A line meets a row's points in as many of them as it occurs among
+        their incidence rows.  Each row's k(q^2+1) line ids are sorted; a run
+        of j equal ids shows as equal entries j-1 apart, so the gap grows
+        while some row still has such a pair."""
+        sets = np.asarray(point_sets, dtype=np.int32)
+        m, k = sets.shape
+        lines = self.incidence[sets].reshape(m, -1)
+        lines.sort(axis=1)
+        best = np.full(m, min(k, 1), dtype=np.int32)
+        gap = 1
+        while True:
+            hit = np.any(lines[:, gap:] == lines[:, :-gap], axis=1)
+            if not hit.any():
+                return best
+            gap += 1
+            best[hit] = gap
+
     def collinear(self, point_ids) -> bool:
-        """True when the listed (distinct) points all lie on one line."""
-        ids = list(dict.fromkeys(int(i) for i in point_ids))
-        if len(ids) <= 2:
-            return True
-        base = self._coords[ids]
-        line = self.vcross(base[0][None, :], base[1][None, :])[0]
-        return bool(np.all(self.vdot(base, line[None, :]) == 0))
+        """True when the given points all lie on one line."""
+        ids = np.unique(np.asarray(point_ids, dtype=np.int32))
+        return ids.size <= 2 or int(self.max_collinear(ids[None, :])[0]) == ids.size
 
     def has_three_collinear(self, point_ids) -> bool:
-        """Exhaustive triple scan via 3x3 determinants over GF(q^2)."""
-        ids = np.asarray(sorted(set(int(i) for i in point_ids)), dtype=np.int32)
-        if ids.size < 3:
-            return False
-        triples = np.array(list(combinations(range(ids.size), 3)), dtype=np.int32)
-        pts = self._coords[ids]
-        u, v, w = pts[triples[:, 0]], pts[triples[:, 1]], pts[triples[:, 2]]
-        dets = self.vdot(u, self.vcross(v, w))
-        return bool(np.any(dets == 0))
+        """True when some line holds three or more of the given points."""
+        ids = np.unique(np.asarray(point_ids, dtype=np.int32))
+        return int(self.max_collinear(ids[None, :])[0]) >= 3
 
     # -- enumeration and text ------------------------------------------------------
 

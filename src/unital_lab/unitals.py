@@ -33,18 +33,16 @@ class UnitalParams:
     beta_real: bool  # beta == conj(beta)
 
 
-def discriminant(ctx: FieldCtx, alpha: int, beta: int) -> int:
-    """4*N(alpha) + (conj(beta) - beta)^2 as a GF(q) code."""
-    four = ctx.scalar(4)
-    d = ctx.sub(ctx.conj(beta), beta)
-    dsq = ctx.mul(d, d)
-    re, im = ctx.unpack(dsq)
-    assert im == 0  # (conj(beta) - beta)^2 = 4*w*b2^2 always lies in GF(q)
-    return ctx.qadd(ctx.qmul(four, ctx.norm(alpha)), re)
+def discriminant(ctx: FieldCtx, alpha, beta):
+    """4*N(alpha) + (conj(beta) - beta)^2 as GF(q) codes, for codes or
+    broadcastable arrays of codes."""
+    d = ctx.add_t[ctx.conj_t[beta], ctx.neg_t[beta]]
+    # d^2 = 4*w*b2^2 lies in GF(q), so its GF(q^2) code is its GF(q) code
+    return ctx.qadd_t[ctx.qmul_t[ctx.scalar(4), ctx.norm_t[alpha]], ctx.mul_t[d, d]]
 
 
 def validate_params(ctx: FieldCtx, alpha: int, beta: int) -> UnitalParams:
-    disc = discriminant(ctx, alpha, beta)
+    disc = int(discriminant(ctx, alpha, beta))
     if ctx.is_square(disc):
         raise InvalidUnitalParameters(
             f"discriminant {disc} is a square in GF({ctx.q}); "
@@ -71,11 +69,7 @@ def valid_parameter_pairs(
     attempted, so a sweep cannot miss a case.
     """
     codes = np.arange(ctx.q2, dtype=np.int32)
-    four = ctx.scalar(4)
-    n_alpha = ctx.qmul_t[four, ctx.norm_t[codes]]
-    d = ctx.add_t[ctx.conj_t[codes], ctx.neg_t[codes]]
-    dsq = ctx.mul_t[d, d] % ctx.q  # purely real
-    disc = ctx.qadd_t[n_alpha[:, None], dsq[None, :]]
+    disc = discriminant(ctx, codes[:, None], codes[None, :])
     valid = ~ctx.square_mask[disc]
     if nonclassical_only:
         valid[0, :] = False
@@ -221,34 +215,12 @@ class UnitalModel:
     # -- tangent lines ------------------------------------------------------
 
     def tangent_line_at(self, point: PointId) -> LineId:
-        """Closed-form tangent line at a unital point.
-
-        OBM at [x, alpha*x^2 + beta*N(x) + r, 1]:
-            [-2*alpha*x + (conj(beta) - beta)*conj(x), 1,
-             alpha*x^2 - conj(beta)*N(x) - r]^t,
-        and the line at infinity at [0,1,0].  The Hermitian model uses its
-        unitary polarity: the tangent at an absolute point is its polar.
-        """
+        """Closed-form tangent line at a unital point: its entry in
+        :meth:`tangent_lines_closed_form`."""
         if point not in self:
             raise ValueError(f"{self.plane.format_point(point)} is not on the unital")
-        if point == self.infinity_point:
-            return self.infinity_line
-        ctx = self.ctx
-        if self.kind == "hermitian":
-            a, b, c = self.plane.coords(point)
-            return self.plane.line_id(ctx.conj(a), ctx.conj(b), ctx.conj(c))
-        x, r = self.generating_pair(point)
-        p = self.params
-        two = ctx.scalar(2)
-        u = ctx.add(
-            ctx.neg(ctx.mul(two, ctx.mul(p.alpha, x))),
-            ctx.mul(ctx.sub(ctx.conj(p.beta), p.beta), ctx.conj(x)),
-        )
-        zc = ctx.sub(
-            ctx.sub(ctx.mul(p.alpha, ctx.mul(x, x)), ctx.mul(ctx.conj(p.beta), ctx.norm(x))),
-            r,
-        )
-        return self.plane.line_id(u, 1, zc)
+        pts, lids = self.tangent_lines_closed_form()
+        return LineId(int(lids[np.flatnonzero(pts == point)[0]]))
 
     def tangent_line_brute(self, point: PointId) -> LineId:
         """Oracle: scan the q^2+1 lines through the point for the unique
@@ -266,7 +238,14 @@ class UnitalModel:
 
     def tangent_lines_closed_form(self) -> tuple[np.ndarray, np.ndarray]:
         """(point ids, tangent line ids) for every unital point, vectorized
-        through the closed form (the brute scan lives in the tests)."""
+        through the closed form (the brute scan lives in the tests).
+
+        OBM at [x, alpha*x^2 + beta*N(x) + r, 1]:
+            [-2*alpha*x + (conj(beta) - beta)*conj(x), 1,
+             alpha*x^2 - conj(beta)*N(x) - r]^t,
+        and the line at infinity at [0,1,0].  The Hermitian model uses its
+        unitary polarity: the tangent at an absolute point is its polar.
+        """
         ctx, plane = self.ctx, self.plane
         if self.kind == "hermitian":
             pts = self.points

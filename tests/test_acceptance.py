@@ -131,14 +131,14 @@ def test_criterion_05_collinearity_dichotomy():
         for params in _nonclassical(ctx):
             model = build_obm_unital(ctx, plane, params)
             ext = np.nonzero(~model.mask)[0].astype(np.int32)
-            _, coll = feet_of_many(model, ext)
+            coll = plane.max_collinear(feet_of_many(model, ext)) == ctx.q + 1
             ok = ok and bool(np.array_equal(coll, on_inf[ext]))
         # classical controls: the hermitian model and every alpha = 0 tuple
         for model in [build_hermitian(ctx, plane)] + [
             build_obm_unital(ctx, plane, t) for t in valid_parameter_pairs(ctx) if t.classical
         ]:
             ext = np.nonzero(~model.mask)[0].astype(np.int32)
-            _, coll = feet_of_many(model, ext)
+            coll = plane.max_collinear(feet_of_many(model, ext)) == ctx.q + 1
             ok = ok and bool(np.all(coll))
     for q in (7, 9, 13):
         ctx, plane = get_geometry(*PN_BY_Q[q])
@@ -163,7 +163,7 @@ def test_criterion_05_collinearity_dichotomy():
                 dtype=np.int32,
             )
             bases = np.concatenate([inf_ext, translates])
-            _, coll = feet_of_many(model, bases)
+            coll = plane.max_collinear(feet_of_many(model, bases)) == ctx.q + 1
             ok = ok and bool(np.array_equal(coll, on_inf[bases]))
     _report(5, "pedal collinearity dichotomy and hermitian control", ok)
 
@@ -354,7 +354,7 @@ def test_criterion_12_known_answer_scan_facts():
     for params in tuples:
         model = build_obm_unital(ctx, plane, params)
         bases = np.nonzero(~model.mask & ~on_inf)[0].astype(np.int32)
-        feet, _ = feet_of_many(model, bases)
+        feet = feet_of_many(model, bases)
         for row in feet:
             counts = np.bincount(plane.incidence[row].ravel())
             ok = ok and int(counts.max()) <= 2

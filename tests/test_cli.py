@@ -266,6 +266,14 @@ def test_env_values_are_checked_like_flags(name, value, args, capsys, monkeypatc
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert "invalid" in captured.err and repr(value) in captured.err
+    assert f"UNITAL_LAB_{name}" in captured.err
+
+
+def test_bad_typed_flag_is_reported_under_its_flag(capsys):
+    code = cli.main(["verify", "--p", "3", "--alpha", "1+e", "--beta", "0", "--jobs", "abc"])
+    err = capsys.readouterr().err
+    assert code == 1 and "argument --jobs: invalid int value: 'abc'" in err
+    assert "UNITAL_LAB" not in err
 
 
 def test_explicit_flag_overrides_invalid_or_valid_env(capsys, monkeypatch):

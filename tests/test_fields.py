@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from sympy.polys.domains import ZZ
@@ -30,6 +32,24 @@ def test_rejects_bad_parameters():
             build_field_ctx(p, n)
     with pytest.raises(ParameterError):
         build_field_ctx(101, 2)  # beyond the enumeration cap
+
+
+@pytest.mark.parametrize("p, n", [(5, 2), (3, 3), (31, 1)])
+def test_cap_refuses_q_whose_plane_cannot_be_built(p, n):
+    q = p**n
+    table = (q**4 + q**2 + 1) * (q**2 + 1) * 4  # bytes of the int32 incidence table
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=f"would need {table} bytes"):
+            build_field_ctx(p, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before any table is allocated
+
+
+def test_cap_admits_q19():
+    assert build_field_ctx(19, 1).q2 == 361
 
 
 def test_w_is_minimal_nonsquare_by_oracle():

@@ -1,8 +1,10 @@
 """Golden report bytes: the sha256 of every command's stdout at q = 3, one CSV
-projection, and single-tuple and single-alpha-row reports at q = 5.
+projection, single-tuple and single-alpha-row reports at q = 5, and one alpha
+row of each scan at q = 9 and of verify at q = 13.
 
-The benchmark's golden set covers verify at q = 13 and the scans at q = 9 and
-four-lines at q = 5; this file covers the rest of the CLI surface.  A digest
+The benchmark's golden set covers every alpha row of verify at q = 13, the
+scans at q = 9 and four-lines at q = 5; this file covers the rest of the CLI
+surface and one row of each of those branches.  A digest
 changes only when a report's bytes change, so a refactor that keeps these
 passing keeps every covered report identical.
 """
@@ -62,6 +64,20 @@ GOLDEN = {
         "0a1647379198f1a054bb78991bc877e06e0e82cc7bcba996dbe039f6ecf3bdaa",
     "scan --p 5 --n 1 --alpha 1 --problem incidence-structure":
         "3e0283468b76fd1fe25d47a4e749aa36fb0654cd99ac9a716049109f1e805b24",
+    # q > 5: canonical-plus-translates bases and sampled secants (q = 9), and
+    # verify at q = 13; argv and digests as in perfbench/golden.json.
+    "scan --p 3 --n 2 --problem four-lines --alpha 1+e --format json --jobs 1":
+        "bec4ec0e63ca93bb0d2fd8123e9a1a9badea9ae92732df63315a6bb134790cb6",
+    "scan --p 3 --n 2 --problem conics --alpha 1+e --format json --jobs 1":
+        "bdc5b067ed52dfd1fee7b5a3df41b63ec6881c92d9e3d552b50d6f93453d6686",
+    "scan --p 3 --n 2 --problem orbit-census --alpha 1+e --format json --jobs 1":
+        "7fa15354f233facfe2d67a7a71a56c524408bcc11ec4c7bc8bd0a38d5f99ab27",
+    "scan --p 3 --n 2 --problem secant-partition --alpha 1+e --format json --jobs 1":
+        "b5643d320f4a74467cb21aeb55692100fa82494141fc218f32fedd57ffc83ebe",
+    "scan --p 3 --n 2 --problem incidence-structure --alpha 1+e --format json --jobs 1":
+        "94cbe2bd245b80873b6f3271ad6227fd4d1fb51cadf503441cdb080c5b776ea2",
+    "verify --p 13 --n 1 --alpha 1+e --format json --jobs 1":
+        "bfdce74e954e07cc98b84a4a32c3b91ac2341d3c9a94f3ad2a39e9731fb93e58",
 }
 
 

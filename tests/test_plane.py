@@ -125,10 +125,12 @@ def test_has_three_collinear_matches_brute_force():
     rng = np.random.default_rng(2)
 
     def brute(ids):
+        # three points are collinear when their coordinate determinant vanishes
         from itertools import combinations
 
         for a, b, c in combinations(ids, 3):
-            if plane.collinear([a, b, c]):
+            u, v, w = (plane._coords[i] for i in (a, b, c))
+            if plane.vdot(u, plane.vcross(v, w)) == 0:
                 return True
         return False
 

@@ -1,11 +1,13 @@
 """Property tests over randomly drawn elements, points, lines and unitals at
 q in {3, 5, 9}: the GF(q^2) field axioms, the conjugation/trace/norm
-identities, join/meet duality and the elation invariance of OBM unitals.
+identities, join/meet duality, the elation invariance of OBM unitals, and
+the largest line size of random point sets against a coordinate-only count.
 
-Each property is an identity the operations must satisfy, so these tests
-need no second implementation to compare against."""
+The others are identities the operations must satisfy, so they need no
+second implementation to compare against."""
 
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 from hypothesis import given, settings
@@ -99,6 +101,32 @@ def test_join_meet_duality(drawn):
         assert not plane.collinear([a, b, c])
     else:
         assert plane.collinear([a, b, c])
+
+
+@PROPERTY
+@given(st.sampled_from(QS), st.data())
+def test_max_collinear_matches_coordinate_count(q, data):
+    _, plane = get_geometry(*PN_BY_Q[q])
+    k = data.draw(st.integers(1, 8))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        # some points of one line, so rows with three or more collinear occur
+        line = plane.incidence[data.draw(st.integers(0, plane.size - 1))].tolist()
+        row = data.draw(st.lists(st.sampled_from(line), max_size=k, unique=True))
+        others = st.integers(0, plane.size - 1).filter(lambda p: p not in row)
+        n = k - len(row)
+        rows.append(row + data.draw(st.lists(others, min_size=n, max_size=n, unique=True)))
+    # coordinates only: the most points with zero dot product against the
+    # cross product of some pair of them, which is the pair's joining line
+    expected = []
+    for row in rows:
+        pts = plane._coords[np.asarray(row)]
+        best = min(k, 2)
+        for i, j in combinations(range(k), 2):
+            line = plane.vcross(pts[i], pts[j])
+            best = max(best, int(np.count_nonzero(plane.vdot(pts, line[None, :]) == 0)))
+        expected.append(best)
+    assert plane.max_collinear(rows).tolist() == expected
 
 
 # -- elations -----------------------------------------------------------------------
