@@ -35,7 +35,7 @@ print("foot parameters:", ", ".join(ctx.format_fq2(x) for x in pedal.foot_params
 # A point of the infinity line has a collinear pedal instead.
 on_inf = next(int(P) for P in plane.points_on(plane.infinity_line) if P not in U)
 print(f"\npedal of {plane.format_point(on_inf)} on the infinity line: "
-      f"collinear = {feet_of(U, on_inf).collinear}")
+      f"collinear = {plane.collinear(feet_of(U, on_inf).feet)}")
 
 # The census over all q^4+q^2+1 lines.
 census = line_pedal_census(U, pedal)

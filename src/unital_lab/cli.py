@@ -56,7 +56,7 @@ from .pedals import (
     two_arc_partition,
 )
 from .plane import LineId, PointId, ProjectivePlane
-from .unitals import UnitalModel, build_obm_unital, valid_parameter_pairs, validate_params
+from .unitals import build_obm_unital, valid_parameter_pairs, validate_params
 
 ENV_PREFIX = "UNITAL_LAB_"
 # Sweep caps: exhaustive external-point work only at desk scale.
@@ -82,22 +82,22 @@ def _context(p: int, n: int, w: int | None):
     return _WORKER["ctx"], _WORKER["plane"]
 
 
-def _run_chunked(args, items: list, chunk_fn) -> list:
-    """Run chunk_fn over item chunks, in-process or in a pool, and merge the
-    (key, record) results in canonical key order.  The pool gets
-    min(--jobs, CPU count, chunk count) processes; with one, the items run
-    in-process.  Callers prime the worker context first."""
-    workers = min(max(1, args.jobs), os.cpu_count() or 1)
-    chunk = max(1, len(items) // (workers * 4))
-    chunks = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-    workers = min(workers, len(chunks))
+def _sweep(args, tuples: list, per_tuple) -> tuple[list, dict]:
+    """Map per_tuple (tuple -> list of records) over the tuples, in-process
+    or in a fork pool of min(--jobs, CPU count, tuple count) processes, and
+    return the records in tuple order with their summary.  Callers prime
+    the worker context first."""
+    workers = min(max(1, args.jobs), os.cpu_count() or 1, len(tuples))
     if workers <= 1:
-        keyed = chunk_fn(items)
+        parts = [per_tuple(t) for t in tuples]
     else:
         with mp.get_context("fork").Pool(workers) as pool:
-            keyed = [rec for part in pool.map(chunk_fn, chunks) for rec in part]
-    keyed.sort(key=lambda kr: kr[0])
-    return [rec for _, rec in keyed]
+            parts = pool.map(per_tuple, tuples, max(1, len(tuples) // (workers * 4)))
+    records = [rec for part in parts for rec in part]
+    fail = sum(r.get("status") == "fail" for r in records)
+    skipped = sum(str(r.get("status")).startswith("skipped") for r in records)
+    summary = {"pass": len(records) - fail - skipped, "fail": fail, "skipped": skipped}
+    return records, summary
 
 
 def _pair_list(ctx, args) -> list[tuple[int, int]]:
@@ -106,10 +106,6 @@ def _pair_list(ctx, args) -> list[tuple[int, int]]:
     alphas = [ctx.parse_fq2(args.alpha)] if args.alpha is not None else range(ctx.q2)
     betas = [ctx.parse_fq2(args.beta)] if args.beta is not None else range(ctx.q2)
     return [(a, b) for a in alphas for b in betas]
-
-
-def _model_for(ctx, plane, alpha: int, beta: int) -> UnitalModel:
-    return build_obm_unital(ctx, plane, validate_params(ctx, alpha, beta))
 
 
 def _record_base(ctx, alpha: int, beta: int) -> dict:
@@ -126,55 +122,44 @@ def _record_base(ctx, alpha: int, beta: int) -> dict:
 # -- verify ----------------------------------------------------------------------
 
 
-def _verify_chunk(pairs) -> list:
+def _verify_pair(pair) -> list:
     ctx, plane = _WORKER["ctx"], _WORKER["plane"]
-    out = []
-    for alpha, beta in pairs:
-        rec = _record_base(ctx, alpha, beta)
-        try:
-            params = validate_params(ctx, alpha, beta)
-        except InvalidUnitalParameters as exc:
-            rec.update(
-                status="skipped: invalid (discriminant square)",
-                discriminant=exc.discriminant,
-            )
-            out.append(((alpha, beta), rec))
-            continue
-        model = build_obm_unital(ctx, plane, params)
-        rec.update(model.record())
-        checks = {}
-        checks["size"] = model.size == ctx.q**3 + 1
-        try:
-            hist = model.verify_unital_axiom()
-            checks["unital_axiom"] = True
-            rec["tangent_lines"] = hist.get(1, 0)
-            rec["secant_lines"] = hist.get(ctx.q + 1, 0)
-        except StructuralViolation:
-            checks["unital_axiom"] = False
-        blocking = model.verify_minimal_blocking_set()
-        checks["blocking"] = blocking.blocking
-        checks["minimal"] = blocking.minimal
-        checks["attains_bound"] = blocking.attains_bound
-        pts, formula = model.tangent_lines_closed_form()
-        try:
-            ok = bool(np.array_equal(model.touch_points[formula], pts))
-        except StructuralViolation:  # some point lies on no or several tangents
-            ok = False
-        checks["tangent_formula_matches_oracle"] = ok
-        rec["checks"] = checks
-        rec["status"] = "pass" if all(checks.values()) else "fail"
-        out.append(((alpha, beta), rec))
-    return out
+    alpha, beta = pair
+    rec = _record_base(ctx, alpha, beta)
+    try:
+        params = validate_params(ctx, alpha, beta)
+    except InvalidUnitalParameters as exc:
+        rec.update(status="skipped: invalid (discriminant square)", discriminant=exc.discriminant)
+        return [rec]
+    model = build_obm_unital(ctx, plane, params)
+    rec.update(model.record())
+    checks = {}
+    checks["size"] = model.size == ctx.q**3 + 1
+    try:
+        hist = model.verify_unital_axiom()
+        checks["unital_axiom"] = True
+        rec["tangent_lines"] = hist.get(1, 0)
+        rec["secant_lines"] = hist.get(ctx.q + 1, 0)
+    except StructuralViolation:
+        checks["unital_axiom"] = False
+    blocking = model.verify_minimal_blocking_set()
+    checks["blocking"] = blocking.blocking
+    checks["minimal"] = blocking.minimal
+    checks["attains_bound"] = blocking.attains_bound
+    pts, formula = model.tangent_lines_closed_form()
+    try:
+        ok = bool(np.array_equal(model.touch_points[formula], pts))
+    except StructuralViolation:  # some point lies on no or several tangents
+        ok = False
+    checks["tangent_formula_matches_oracle"] = ok
+    rec["checks"] = checks
+    rec["status"] = "pass" if all(checks.values()) else "fail"
+    return [rec]
 
 
 def cmd_verify(args) -> tuple[dict, int]:
     ctx, _ = _context(args.p, args.n, args.w)
-    records = _run_chunked(args, _pair_list(ctx, args), _verify_chunk)
-    summary = {
-        "pass": sum(1 for r in records if r.get("status") == "pass"),
-        "fail": sum(1 for r in records if r.get("status") == "fail"),
-        "skipped": sum(1 for r in records if str(r.get("status")).startswith("skipped")),
-    }
+    records, summary = _sweep(args, _pair_list(ctx, args), _verify_pair)
     report = _report_envelope("verify", ctx, args, records, summary)
     return report, (2 if summary["fail"] else 0)
 
@@ -186,8 +171,8 @@ def _single_tuple(args):
     if args.alpha is None or args.beta is None:
         raise ParameterError(f"{args.command} requires --alpha and --beta")
     ctx, plane = _context(args.p, args.n, args.w)
-    model = _model_for(ctx, plane, ctx.parse_fq2(args.alpha), ctx.parse_fq2(args.beta))
-    return ctx, plane, model
+    params = validate_params(ctx, ctx.parse_fq2(args.alpha), ctx.parse_fq2(args.beta))
+    return ctx, plane, build_obm_unital(ctx, plane, params)
 
 
 def _single_report(args, ctx, model, fields: dict) -> tuple[dict, int]:
@@ -237,7 +222,7 @@ def _pedal_payload(ctx, plane, model, base, lam) -> dict:
     rec: dict = {"base_point": plane.format_point(base)}
     brute = feet_of(model, base)
     rec["feet"] = [plane.format_point(PointId(f)) for f in brute.feet]
-    rec["collinear"] = brute.collinear
+    rec["collinear"] = plane.collinear(brute.feet)
     pedal = brute
     if lam is not None and not model.params.classical:
         closed = feet_closed_form(model, lam)
@@ -312,8 +297,8 @@ def _scan_bases(model) -> np.ndarray:
     return np.unique(group.apply_points(ts, canonical))
 
 
-# A scan maps a model to its (sort key, record fields) pairs: one pair per
-# lambda, keyed by lambda, for the lambda-split problems; else one pair, key 0.
+# A scan maps a model to its list of record fields: one per lambda (1, then
+# w) for the lambda-split problems, else one.
 
 
 def _lambdas(ctx) -> tuple[tuple[str, int], ...]:
@@ -334,12 +319,12 @@ def _scan_four_lines(model) -> list:
         "size4_lines_exist": max_line_size >= 4,
         "lambda_censuses_equal": censuses[0].histogram == censuses[1].histogram,
     }
-    return [(0, fields)]
+    return [fields]
 
 
 def _scan_conics(model) -> list:
     return [
-        (lam, {"lambda": label, **_arc_report(model, feet_closed_form(model, lam))})
+        {"lambda": label, **_arc_report(model, feet_closed_form(model, lam))}
         for label, lam in _lambdas(model.ctx)
     ]
 
@@ -351,7 +336,7 @@ def _scan_orbit_census(model) -> list:
         partition_lines_for_orbit(model, orbit)
         census = orbit_line_census(model, orbit)
         histogram = {str(s): c for s, c in sorted(census.histogram.items())}
-        out.append((lam, {"lambda": label, "census_histogram": histogram}))
+        out.append({"lambda": label, "census_histogram": histogram})
     return out
 
 
@@ -372,14 +357,14 @@ def _scan_secant_partition(model) -> list:
             ],
         }
     fields = {"secants_checked": int(secants.size), "all_partitioned": True, "witness": witness}
-    return [(0, fields)]
+    return [fields]
 
 
 def _scan_incidence_structure(model) -> list:
     out = []
     for label, lam in _lambdas(model.ctx):
         orbit = orbit_of_pedal(model, feet_closed_form(model, lam))
-        out.append((lam, {"lambda": label, **orbit_incidence_stats(model, orbit)}))
+        out.append({"lambda": label, **orbit_incidence_stats(model, orbit)})
     return out
 
 
@@ -392,24 +377,19 @@ _SCANS = {
 }
 
 
-def _scan_chunk(problem: str, tuples) -> list:
-    """Scan records in (alpha, beta, key) order.  A structural or theorem
-    check that fails on one tuple gives that tuple a single ``fail`` record
-    naming the check and the exception, and the scan goes on."""
+def _scan_tuple(problem: str, params) -> list:
+    """The scan records of one valid tuple.  A structural or theorem check
+    that fails gives the tuple a single ``fail`` record naming the check and
+    the exception, and the scan goes on."""
     ctx, plane = _WORKER["ctx"], _WORKER["plane"]
-    out = []
-    for alpha, beta in tuples:
-        rec = _record_base(ctx, alpha, beta)
-        try:
-            model = _model_for(ctx, plane, alpha, beta)
-            rec["beta_real"] = model.params.beta_real
-            keyed = _SCANS[problem](model)
-        except (TheoremViolation, StructuralViolation) as exc:
-            rec.update(status="fail", check=problem, error=f"{type(exc).__name__}: {exc}")
-            keyed = [(0, {})]
-        for key, fields in keyed:
-            out.append(((alpha, beta, key), {**rec, **fields}))
-    return out
+    rec = _record_base(ctx, params.alpha, params.beta)
+    try:
+        model = build_obm_unital(ctx, plane, params)
+        rec["beta_real"] = params.beta_real
+        return [{**rec, **fields} for fields in _SCANS[problem](model)]
+    except (TheoremViolation, StructuralViolation) as exc:
+        rec.update(status="fail", check=problem, error=f"{type(exc).__name__}: {exc}")
+        return [rec]
 
 
 def cmd_scan(args) -> tuple[dict, int]:
@@ -418,15 +398,11 @@ def cmd_scan(args) -> tuple[dict, int]:
     ctx, _ = _context(args.p, args.n, args.w)
     alpha = None if args.alpha is None else ctx.parse_fq2(args.alpha)
     beta = None if args.beta is None else ctx.parse_fq2(args.beta)
-    tuples = [
-        (t.alpha, t.beta)
-        for t in valid_parameter_pairs(ctx, nonclassical_only=True, alpha=alpha, beta=beta)
-    ]
-    records = _run_chunked(args, tuples, functools.partial(_scan_chunk, args.problem))
-    failed = sum(1 for r in records if r.get("status") == "fail")
-    summary = {"pass": len(records) - failed, "fail": failed, "skipped": 0, "tuples": len(tuples)}
+    tuples = valid_parameter_pairs(ctx, nonclassical_only=True, alpha=alpha, beta=beta)
+    records, summary = _sweep(args, tuples, functools.partial(_scan_tuple, args.problem))
+    summary["tuples"] = len(tuples)
     report = _report_envelope(f"scan:{args.problem}", ctx, args, records, summary)
-    return report, (2 if failed else 0)
+    return report, (2 if summary["fail"] else 0)
 
 
 # -- emission ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ Text syntax for elements: GF(q) is a decimal code, GF(q^2) is ``A+e*B``
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -137,12 +138,16 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, n: int, w: int | None = None):
+        if n < 1:
+            raise ParameterError(f"n = {n} must be a positive integer")
+        # A q above the cap itself is refused from log p and n: trial division
+        # of a huge p, or the power p^n for a huge n, would not finish.
+        if p > 1 and n > math.log(MAX_FIELD_ORDER) / math.log(p):
+            raise ParameterError(f"q^2 = {p}^{2 * n} exceeds the cap {MAX_FIELD_ORDER}")
         if not _is_prime(p):
             raise ParameterError(f"p = {p} is not prime")
         if p == 2:
             raise ParameterError("characteristic 2 is not supported (p must be odd)")
-        if n < 1:
-            raise ParameterError(f"n = {n} must be a positive integer")
         q = p**n
         if q * q > MAX_FIELD_ORDER:
             table = (q**4 + q**2 + 1) * (q**2 + 1) * 4  # int32 incidence table

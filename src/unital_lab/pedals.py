@@ -45,7 +45,6 @@ class PedalSet:
 
     base: PointId
     feet: tuple[int, ...]
-    collinear: bool
     lam: int | None = None
     foot_params: tuple[int, ...] | None = None
     param_point: dict[int, int] | None = field(default=None, repr=False)
@@ -127,9 +126,7 @@ def feet_of(U: UnitalModel, point: PointId) -> PedalSet:
             f"{feet.size} feet found for {plane.format_point(point)}; expected {expected}"
         )
     feet = np.sort(feet)
-    return PedalSet(
-        base=point, feet=tuple(int(f) for f in feet), collinear=plane.collinear(feet)
-    )
+    return PedalSet(base=point, feet=tuple(int(f) for f in feet))
 
 
 def feet_of_many(U: UnitalModel, bases) -> np.ndarray:
@@ -264,7 +261,6 @@ def feet_closed_form(U: UnitalModel, lam: int) -> PedalSet:
     return PedalSet(
         base=base,
         feet=feet,
-        collinear=plane.collinear(ids),
         lam=lam,
         foot_params=tuple(sorted(params_sorted)),
         param_point={int(x): int(i) for x, i in zip(xs, ids)},

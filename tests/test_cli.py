@@ -48,17 +48,17 @@ def test_verify_sweep_reports_skipped_invalids(capsys):
 
 
 def test_verify_exit_2_when_a_check_fails(capsys, monkeypatch):
-    real = cli._verify_chunk
+    real = cli._verify_pair
 
-    def sabotaged(pairs):
-        out = real(pairs)
-        for _, rec in out:
+    def sabotaged(pair):
+        out = real(pair)
+        for rec in out:
             if rec.get("status") == "pass":
                 rec["checks"]["blocking"] = False
                 rec["status"] = "fail"
         return out
 
-    monkeypatch.setattr(cli, "_verify_chunk", sabotaged)
+    monkeypatch.setattr(cli, "_verify_pair", sabotaged)
     code, report = run_json(
         ["verify", "--p", "3", "--n", "1", "--alpha", "1+e", "--beta", "0"], capsys
     )
@@ -321,18 +321,18 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_reports_byte_identical_across_jobs(tmp_path, capsys):
-    pairs = {}
-    for jobs in ("1", "8"):
-        for cmd in (
-            ["verify", "--p", "3", "--n", "1"],
-            ["scan", "--p", "3", "--n", "1", "--problem", "conics"],
-        ):
-            target = tmp_path / f"{cmd[0]}-{jobs}.json"
+    commands = {
+        "verify": ["verify", "--p", "3", "--n", "1"],
+        **{name: ["scan", "--p", "3", "--n", "1", "--problem", name] for name in cli._SCANS},
+    }
+    for name, cmd in commands.items():
+        reports = []
+        for jobs in ("1", "8"):
+            target = tmp_path / f"{name}-{jobs}.json"
             code, _ = run_cli([*cmd, "--jobs", jobs, "--out", str(target)], capsys)
             assert code == 0
-            pairs.setdefault(cmd[0], {})[jobs] = target.read_bytes()
-    for cmd, by_jobs in pairs.items():
-        assert by_jobs["1"] == by_jobs["8"], f"{cmd} report differs across worker counts"
+            reports.append(target.read_bytes())
+        assert reports[0] == reports[1], f"{name} report differs across worker counts"
 
 
 @pytest.mark.parametrize("error", [DegenerateConfiguration, DegenerateInput])
@@ -351,7 +351,7 @@ def test_degenerate_check_inside_library_exits_2(error, capsys, monkeypatch):
 
 class _RecordingContext:
     """Stands in for the fork context: records the process count asked of
-    Pool and runs every chunk in this process, so no process starts."""
+    Pool and maps every item in this process, so no process starts."""
 
     def __init__(self):
         self.processes = []
@@ -366,8 +366,8 @@ class _RecordingContext:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, chunks):
-        return [fn(chunk) for chunk in chunks]
+    def map(self, fn, items, chunksize):
+        return [fn(item) for item in items]
 
 
 def test_worker_count_clamped_to_cpus_and_chunks(tmp_path, capsys, monkeypatch):
@@ -387,9 +387,9 @@ def test_worker_count_clamped_to_cpus_and_chunks(tmp_path, capsys, monkeypatch):
     assert recorder.processes == [2]
     assert run([*scan, "--jobs", "2"], cpus=None) == reference  # unknown CPU count: 1
     assert recorder.processes == [2]
-    run([*scan, "--alpha", "1+e", "--jobs", "8"], cpus=64)  # 3 tuples, 3 chunks
+    run([*scan, "--alpha", "1+e", "--jobs", "8"], cpus=64)  # 3 tuples
     assert recorder.processes == [2, 3]
-    run([*scan, "--alpha", "1+e", "--beta", "0", "--jobs", "8"], cpus=64)  # one chunk
+    run([*scan, "--alpha", "1+e", "--beta", "0", "--jobs", "8"], cpus=64)  # one tuple
     assert recorder.processes == [2, 3]
 
 
@@ -408,8 +408,11 @@ def test_scan_records_a_failed_tuple_and_goes_on(capsys, monkeypatch):
         return real(model)
 
     monkeypatch.setitem(cli._SCANS, "conics", conics)
-    code, report = run_json(scan, capsys)
+    code, out = run_cli(scan, capsys)
     assert code == 2
+    # forked workers inherit the patched registry and keep tuple order
+    assert run_cli([*scan, "--jobs", "8"], capsys) == (2, out)
+    report = json.loads(out)
     failed = [r for r in report["records"] if r.get("status") == "fail"]
     assert len(failed) == 1
     (fail,) = failed
@@ -429,8 +432,7 @@ def test_verify_record_of_corrupted_model_fails_its_checks(monkeypatch):
     )
     cli._context(3, 1, None)
     ctx = cli._WORKER["ctx"]
-    ((key, rec),) = cli._verify_chunk([(ctx.pack(1, 1), 0)])
-    assert key == (ctx.pack(1, 1), 0)
+    (rec,) = cli._verify_pair((ctx.pack(1, 1), 0))
     assert rec["status"] == "fail"
     assert rec["checks"] == {
         "size": True,

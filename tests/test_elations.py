@@ -219,6 +219,6 @@ def test_orbit_rejects_feet_of_another_base(setup):
     ped = feet_closed_form(model, 1)
     other = feet_closed_form(model, ctx.w)
     assert set(ped.feet) != set(other.feet)
-    forged = PedalSet(base=ped.base, feet=other.feet, collinear=other.collinear, lam=1)
+    forged = PedalSet(base=ped.base, feet=other.feet, lam=1)
     with pytest.raises(TheoremViolation, match=r"elation t=0 image"):
         orbit_of_pedal(model, forged)

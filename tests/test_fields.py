@@ -48,6 +48,15 @@ def test_cap_refuses_q_whose_plane_cannot_be_built(p, n):
     assert peak < 1 << 20  # refused before any table is allocated
 
 
+@pytest.mark.parametrize("p, n", [(2305843009213693951, 1), (3, 100000)])
+def test_cap_refuses_a_huge_q_at_once(p, n):
+    # 2^61 - 1 is prime: trial division would not finish, nor would the
+    # message print 3^100000 in decimal
+    with pytest.raises(ParameterError) as caught:
+        build_field_ctx(p, n)
+    assert str(caught.value) == f"q^2 = {p}^{2 * n} exceeds the cap 361"
+
+
 def test_cap_admits_q19():
     assert build_field_ctx(19, 1).q2 == 361
 

@@ -59,7 +59,7 @@ def test_feet_counts_and_dichotomy_q3(q3_model):
     for P in externals(plane, model):
         ped = feet_of(model, P)
         assert ped.size == ctx.q + 1
-        assert ped.collinear == plane.incident(P, plane.infinity_line)
+        assert plane.collinear(ped.feet) == plane.incident(P, plane.infinity_line)
 
 
 def test_feet_rejects_unital_points(q3_model):
@@ -76,14 +76,14 @@ def test_feet_of_many_matches_scalar(q3_model):
     for i, P in enumerate(ext):
         ped = feet_of(model, P)
         assert tuple(int(x) for x in feet[i]) == ped.feet
-        assert bool(coll[i]) == ped.collinear
+        assert bool(coll[i]) == plane.collinear(ped.feet)
 
 
 def test_classical_pedals_always_collinear():
     ctx, plane = get_geometry(3, 1)
     H = build_hermitian(ctx, plane)
     for P in externals(plane, H):
-        assert feet_of(H, P).collinear
+        assert plane.collinear(feet_of(H, P).feet)
     # alpha = 0 OBM controls
     for params in valid_parameter_pairs(ctx):
         if not params.classical:
@@ -104,7 +104,7 @@ def test_every_line_through_infinity_contains_a_pedal(q3_model):
         if P in model:
             continue
         ped = feet_of(model, P)
-        assert ped.collinear
+        assert plane.collinear(ped.feet)
         carriers.add(plane.join(ped.feet[0], ped.feet[1]))
     through_pinf = {
         int(l) for l in plane.lines_through(model.infinity_point) if int(l) != model.infinity_line
@@ -364,7 +364,7 @@ def test_two_arc_partition_generic_path(q5_model):
 
     for lam in (1, ctx.w):
         closed = feet_closed_form(model, lam)
-        bare = PedalSet(base=closed.base, feet=closed.feet, collinear=closed.collinear)
+        bare = PedalSet(base=closed.base, feet=closed.feet)
         a1, a2 = two_arc_partition(model, bare)
         assert set(a1) | set(a2) == set(closed.feet)
         assert not plane.has_three_collinear(a1)
