@@ -170,6 +170,8 @@ def cmd_verify(args) -> tuple[dict, int]:
 def _single_tuple(args):
     if args.alpha is None or args.beta is None:
         raise ParameterError(f"{args.command} requires --alpha and --beta")
+    if args.lam is not None and args.point is not None:
+        raise ParameterError("--lambda and --point each name the base point; give one")
     ctx, plane = _context(args.p, args.n, args.w)
     params = validate_params(ctx, ctx.parse_fq2(args.alpha), ctx.parse_fq2(args.beta))
     return ctx, plane, build_obm_unital(ctx, plane, params)
@@ -238,7 +240,7 @@ def _pedal_payload(ctx, plane, model, base, lam) -> dict:
     off_linf = not plane.incident(base, plane.infinity_line)
     if off_linf and not model.params.classical:
         census = line_pedal_census(model, pedal)
-        rec["census"] = census.as_json_dict(plane)
+        rec["census"] = census.as_json_dict()
         rec["arc_report"] = _arc_report(model, pedal)
     return rec
 
@@ -254,7 +256,7 @@ def cmd_census(args) -> tuple[dict, int]:
     base, lam = _resolve_base(ctx, plane, model, args)
     pedal = feet_closed_form(model, lam) if lam is not None else feet_of(model, base)
     census = line_pedal_census(model, pedal)
-    return _single_report(args, ctx, model, census.as_json_dict(plane, base=base))
+    return _single_report(args, ctx, model, census.as_json_dict(base=base))
 
 
 def cmd_orbit(args) -> tuple[dict, int]:
@@ -398,6 +400,8 @@ def cmd_scan(args) -> tuple[dict, int]:
     ctx, _ = _context(args.p, args.n, args.w)
     alpha = None if args.alpha is None else ctx.parse_fq2(args.alpha)
     beta = None if args.beta is None else ctx.parse_fq2(args.beta)
+    if alpha is not None and beta is not None:
+        validate_params(ctx, alpha, beta)  # a named tuple must be a unital, as for pedal
     tuples = valid_parameter_pairs(ctx, nonclassical_only=True, alpha=alpha, beta=beta)
     records, summary = _sweep(args, tuples, functools.partial(_scan_tuple, args.problem))
     summary["tuples"] = len(tuples)
@@ -462,8 +466,11 @@ def render_report(report: dict, fmt: str) -> str:
 def _emit(report: dict, args) -> None:
     text = render_report(report, args.fmt)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"--out {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -526,16 +533,20 @@ _PARSER = _build_parser()
 
 def _with_env_flags(argv: list[str]) -> list[str]:
     """argv with each set UNITAL_LAB_<FLAG> put right after the command as
-    ``--<flag>=<value>``, so an explicit flag, coming later, wins.  Each value
-    is first parsed alone, by the flag's own type and choices, as an argument
-    named after its variable, so a bad one is reported under that name."""
+    ``--<flag>=<value>``, so an explicit flag, coming later, wins; the
+    variable of --lambda or --point is dropped when the other flag is on the
+    command line.  Each value is first parsed alone, by the flag's own type
+    and choices, as an argument named after its variable, so a bad one is
+    reported under that name."""
     if not argv or argv[0] not in _COMMANDS:
         return argv
+    given = {token.split("=")[0] for token in argv[1:]}
+    rival = {"--lambda": "--point", "--point": "--lambda"}
     env = []
     for option, settings in _FLAGS:
         name = ENV_PREFIX + option[2:].upper()
         value = os.environ.get(name)
-        if value is not None:
+        if value is not None and rival.get(option) not in given:
             check = _Parser(prog=f"unital-lab {argv[0]}", usage=argparse.SUPPRESS, add_help=False)
             check.add_argument(name, type=settings.get("type"), choices=settings.get("choices"))
             check.parse_args(["--", value])
@@ -551,6 +562,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ParameterError(f"--out {args.out}: its directory does not exist")
         report, code = _COMMANDS[args.command](args)
         _emit(report, args)
     except (

@@ -86,7 +86,8 @@ class IntersectionCensus:
     def support(self) -> set[int]:
         return {size for size, count in self.histogram.items() if count}
 
-    def as_json_dict(self, plane, base: PointId | None = None) -> dict:
+    def as_json_dict(self, base: PointId | None = None) -> dict:
+        plane = self.plane
         out = {
             "histogram": {str(size): count for size, count in sorted(self.histogram.items())},
             "witnesses": [
@@ -257,12 +258,11 @@ def feet_closed_form(U: UnitalModel, lam: int) -> PedalSet:
     base = canonical_base_point(U, lam)
     order = np.argsort(ids)
     feet = tuple(int(i) for i in ids[order])
-    params_sorted = tuple(int(x) for x in xs[order])
     return PedalSet(
         base=base,
         feet=feet,
         lam=lam,
-        foot_params=tuple(sorted(params_sorted)),
+        foot_params=tuple(int(x) for x in xs),
         param_point={int(x): int(i) for x, i in zip(xs, ids)},
     )
 
@@ -319,7 +319,7 @@ def same_trace_solutions(U: UnitalModel, lam: int, x: int) -> tuple[int, ...]:
     """All z with T(alpha*z^2) = T(alpha*x^2) and z a foot parameter,
     computed two independent ways:
 
-    * a direct exhaustive scan of GF(q^2), and
+    * the trace class of x among the foot parameters (:func:`trace_classes`), and
     * the pair of GF(q)-coefficient quadratics in (z1, z2) obtained by
       splitting z = z1 + e*z2:
 
@@ -340,12 +340,9 @@ def same_trace_solutions(U: UnitalModel, lam: int, x: int) -> tuple[int, ...]:
     if x not in set(int(v) for v in params):
         raise ValueError(f"x = {ctx.format_fq2(x)} is not a foot parameter")
     target = trace_value(U, x)
+    direct = trace_classes(U, lam, params)[int(target)]
 
-    member = np.zeros(ctx.q2, dtype=bool)
-    member[params] = True
-    direct = np.nonzero((trace_value(U, np.arange(ctx.q2)) == target) & member)[0]
-
-    qa, qm, qn = ctx.qadd_t, ctx.qmul_t, ctx.qneg_t
+    qa, qm = ctx.qadd_t, ctx.qmul_t
     a1, a2 = ctx.unpack(U.params.alpha)
     b2 = ctx.im(U.params.beta)
     w, two = ctx.w, ctx.scalar(2)
@@ -367,10 +364,10 @@ def same_trace_solutions(U: UnitalModel, lam: int, x: int) -> tuple[int, ...]:
 
     if not np.array_equal(direct, system):
         raise InternalConsistencyError(
-            "GF(q)-coordinate quadratic system disagrees with the direct scan "
+            "GF(q)-coordinate quadratic system disagrees with the trace class "
             f"for x = {ctx.format_fq2(x)}"
         )
-    return tuple(int(z) for z in direct)
+    return direct
 
 
 # -- two-arc partition ----------------------------------------------------------

@@ -119,7 +119,6 @@ class UnitalModel:
         self.infinity_line: LineId = plane.infinity_line
         # (point ids, x codes, r codes), aligned; affine points only
         self.generators: tuple[np.ndarray, np.ndarray, np.ndarray] | None = generators
-        self._gen_pairs: dict | None = None
         # (line counts, tangents per point, touch array or None)
         self._line_stats: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None
 
@@ -136,21 +135,14 @@ class UnitalModel:
     def __contains__(self, point) -> bool:
         return bool(self.mask[int(point)])
 
-    @property
-    def gen_pairs(self) -> dict:
-        if self._gen_pairs is None:
-            if self.generators is None:
-                self._gen_pairs = {}
-            else:
-                ids, xs, rs = self.generators
-                self._gen_pairs = {
-                    int(i): (int(x), int(r)) for i, x, r in zip(ids, xs, rs)
-                }
-        return self._gen_pairs
-
     def generating_pair(self, point: PointId) -> tuple[int, int]:
-        """(x, r) with point = [x, alpha*x^2 + beta*N(x) + r, 1]."""
-        return self.gen_pairs[int(point)]
+        """(x, r) with point = [x, alpha*x^2 + beta*N(x) + r, 1]; KeyError if none."""
+        if self.generators is not None:
+            ids, xs, rs = self.generators
+            at = np.flatnonzero(ids == int(point))
+            if at.size:
+                return int(xs[at[0]]), int(rs[at[0]])
+        raise KeyError(int(point))
 
     # -- line statistics ------------------------------------------------------
 
@@ -286,18 +278,10 @@ class UnitalModel:
     # -- reporting ------------------------------------------------------------
 
     def record(self) -> dict:
-        ctx = self.ctx
-        rec = {
-            "p": ctx.p,
-            "n": ctx.n,
-            "w": ctx.w,
-            "kind": self.kind,
-            "unital_size": self.size,
-        }
+        """The model's own report fields; the caller's record names p, n, w, alpha, beta."""
+        rec = {"kind": self.kind, "unital_size": self.size}
         if self.params is not None:
             rec.update(
-                alpha=ctx.format_fq2(self.params.alpha),
-                beta=ctx.format_fq2(self.params.beta),
                 discriminant=self.params.discriminant,
                 classical=self.params.classical,
                 beta_real=self.params.beta_real,
@@ -322,17 +306,15 @@ def build_obm_unital(ctx: FieldCtx, plane: ProjectivePlane, params: UnitalParams
     add, mul = ctx.add_t, ctx.mul_t
     Y = add[add[mul[params.alpha, mul[X, X]], mul[params.beta, ctx.norm_t[X]]], R]
     ids = plane.point_ids_vec(X, Y, np.ones_like(X))
-    hit = np.zeros(plane.size, dtype=bool)
-    hit[ids] = True
-    if np.count_nonzero(hit) != ids.size:
-        raise StructuralViolation("generating map (x, r) -> point is not injective")
     points = np.concatenate([ids, [plane.infinity_point]])
-    model = UnitalModel(
-        ctx, plane, points, params=params, kind="obm", generators=(ids, X, R)
-    )
+    model = UnitalModel(ctx, plane, points, params=params, kind="obm", generators=(ids, X, R))
+    # [0,1,0] is no image of an affine (x, r), so only a collision loses points
     expected = q**3 + 1
     if model.size != expected:
-        raise StructuralViolation(f"built {model.size} points, expected {expected}")
+        raise StructuralViolation(
+            f"generating map (x, r) -> point is not injective: built {model.size} "
+            f"points, expected {expected}"
+        )
     return model
 
 

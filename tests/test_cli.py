@@ -320,6 +320,75 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["summary"]["pass"] == 1
 
 
+def _refused(args, capsys) -> str:
+    """The stderr of a call that must exit 1 with one error line and no report."""
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("unital-lab: error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_out_in_a_missing_directory_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "missing" / "r.json"
+
+    def no_context(*_):
+        raise AssertionError("the context was built")
+
+    monkeypatch.setattr(cli, "_context", no_context)
+    verify = ["verify", "--p", "3", "--alpha", "1", "--beta", "0"]
+    err = _refused([*verify, "--out", str(target)], capsys)
+    assert str(target) in err and "Traceback" not in err
+    assert not target.parent.exists()
+
+
+def test_out_write_error_is_one_error_line(tmp_path, capsys):
+    verify = ["verify", "--p", "3", "--alpha", "1+e", "--beta", "0"]
+    err = _refused([*verify, "--out", str(tmp_path)], capsys)
+    assert str(tmp_path) in err  # open() on a directory raises IsADirectoryError
+
+
+def test_scan_of_a_named_pair_that_is_no_unital_is_a_usage_error(capsys):
+    scan = ["scan", "--p", "3", "--problem", "conics"]
+    err = _refused([*scan, "--alpha", "1", "--beta", "1"], capsys)
+    assert "discriminant 1 is a square in GF(3)" in err
+
+
+@pytest.mark.parametrize(
+    "args", [["--alpha", "0", "--beta", "e"], ["--alpha", "0"], ["--alpha", "1"]]
+)
+def test_scan_of_rows_without_a_nonclassical_unital_is_an_empty_report(args, capsys):
+    # perfbench's warm-up call (0, e) and its q=3 smoke rows of an alpha with no
+    # valid beta rely on exit 0 here (ROADMAP item 0)
+    code, report = run_json(["scan", "--p", "3", "--problem", "conics", *args], capsys)
+    assert code == 0 and report["records"] == []
+    assert report["summary"] == {"pass": 0, "fail": 0, "skipped": 0, "tuples": 0}
+
+
+@pytest.mark.parametrize("command", ["pedal", "census", "orbit"])
+def test_lambda_and_point_on_the_command_line_are_a_usage_error(command, capsys):
+    args = [command, "--p", "3", "--alpha", "1+e", "--beta", "0", "--lambda", "1"]
+    err = _refused([*args, "--point", "1,1,1"], capsys)
+    assert "--lambda" in err and "--point" in err
+
+
+def test_explicit_point_beats_lambda_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("UNITAL_LAB_LAMBDA", "1")
+    pedal = ["pedal", "--p", "3", "--alpha", "1+e", "--beta", "0", "--point", "1,1,1"]
+    code, report = run_json(pedal, capsys)
+    assert code == 0 and report["records"][0]["base_point"] == "[1,1,1]"
+    assert report["config"]["lambda"] is None
+
+
+def test_explicit_lambda_beats_point_from_the_environment(capsys, monkeypatch):
+    pedal = ["pedal", "--p", "3", "--alpha", "1+e", "--beta", "0", "--lambda", "1"]
+    _, reference = run_json(pedal, capsys)
+    monkeypatch.setenv("UNITAL_LAB_POINT", "1,1,1")
+    code, report = run_json(pedal, capsys)
+    assert code == 0 and report == reference
+    assert report["records"][0]["base_point"] == "[0,1,e*2]"
+
+
 def test_reports_byte_identical_across_jobs(tmp_path, capsys):
     commands = {
         "verify": ["verify", "--p", "3", "--n", "1"],

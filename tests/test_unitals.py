@@ -97,20 +97,53 @@ def test_infinity_line_meets_only_infinity_point():
     assert [int(x) for x in on_inf[model.mask[on_inf]]] == [model.infinity_point]
 
 
-def test_generating_pairs_roundtrip():
+@pytest.mark.parametrize("q", [3, 9])
+def test_generating_pairs_roundtrip(q):
+    ctx, plane = get_geometry(*PN_BY_Q[q])
+    tuples = valid_parameter_pairs(ctx, nonclassical_only=True)
+    for params in tuples[:: len(tuples) // 3]:  # three or four alpha rows
+        model = build_obm_unital(ctx, plane, params)
+        pairs = set()
+        for pid in model.points:
+            pid = int(pid)
+            if pid == model.infinity_point:
+                continue
+            x, r = model.generating_pair(pid)
+            assert ctx.im(r) == 0  # r lies in GF(q)
+            y = ctx.add(
+                ctx.add(ctx.mul(params.alpha, ctx.mul(x, x)), ctx.mul(params.beta, ctx.norm(x))),
+                r,
+            )
+            assert plane.point_id(x, y, 1) == pid
+            pairs.add((x, r))
+        assert len(pairs) == q**3  # every affine point has its own pair
+
+
+def test_generating_pair_raises_key_error_for_a_point_without_one():
     ctx, plane = get_geometry(3, 1)
-    params = validate_params(ctx, ctx.pack(1, 1), 0)
-    model = build_obm_unital(ctx, plane, params)
-    for pid in model.points:
-        pid = int(pid)
-        if pid == model.infinity_point:
-            continue
-        x, r = model.generating_pair(pid)
-        y = ctx.add(
-            ctx.add(ctx.mul(params.alpha, ctx.mul(x, x)), ctx.mul(params.beta, ctx.norm(x))),
-            r,
-        )
-        assert plane.point_id(x, y, 1) == pid
+    model = build_obm_unital(ctx, plane, validate_params(ctx, ctx.pack(1, 1), 0))
+    off = next(
+        plane.point_id(1, y, 1) for y in ctx.elements() if plane.point_id(1, y, 1) not in model
+    )
+    hermitian = build_hermitian(ctx, plane)
+    affine_on_h = next(int(p) for p in hermitian.points if plane.coords(int(p))[2] == 1)
+    for unital, point in ((model, model.infinity_point), (model, off), (hermitian, affine_on_h)):
+        with pytest.raises(KeyError):
+            unital.generating_pair(point)
+
+
+def test_non_injective_generating_map_is_a_structural_violation(monkeypatch):
+    ctx, plane = get_geometry(3, 1)
+    real = plane.point_ids_vec
+
+    def collide(*coords):  # two generators land on one point
+        ids = real(*coords).copy()
+        ids[1] = ids[0]
+        return ids
+
+    monkeypatch.setattr(plane, "point_ids_vec", collide)
+    with pytest.raises(StructuralViolation, match="not injective"):
+        build_obm_unital(ctx, plane, validate_params(ctx, ctx.pack(1, 1), 0))
 
 
 def test_hermitian_model():
