@@ -28,7 +28,7 @@ print(f"base pedal of {plane.format_point(base.base)}: "
       + ", ".join(plane.format_point(f) for f in base.feet))
 
 # The group shifts the affine y-coordinate; the unital is carried to itself.
-moved = group.apply_point(1, base.base)
+moved = group.apply_points(1, [base.base])[0]
 print(f"E_1 moves the base to {plane.format_point(moved)}; the unital itself is fixed setwise")
 
 orbit = orbit_of_pedal(U, base)  # verifies image feet and disjointness

@@ -38,7 +38,6 @@ from .pedals import (
     foot_unital_r,
     is_single_arc,
     line_pedal_census,
-    membership_forms,
     same_trace_solutions,
     secant_partition,
     secant_partitions,

@@ -123,6 +123,9 @@ def _record_base(ctx, alpha: int, beta: int) -> dict:
 
 
 def _verify_pair(pair) -> list:
+    """The verify record of one pair.  A build that fails its own check
+    gives the pair a single ``fail`` record with check ``build``, and the
+    sweep goes on."""
     ctx, plane = _WORKER["ctx"], _WORKER["plane"]
     alpha, beta = pair
     rec = _record_base(ctx, alpha, beta)
@@ -131,7 +134,11 @@ def _verify_pair(pair) -> list:
     except InvalidUnitalParameters as exc:
         rec.update(status="skipped: invalid (discriminant square)", discriminant=exc.discriminant)
         return [rec]
-    model = build_obm_unital(ctx, plane, params)
+    try:
+        model = build_obm_unital(ctx, plane, params)
+    except StructuralViolation as exc:
+        rec.update(status="fail", check="build", error=f"{type(exc).__name__}: {exc}")
+        return [rec]
     rec.update(model.record())
     checks = {}
     checks["size"] = model.size == ctx.q**3 + 1
@@ -380,16 +387,16 @@ _SCANS = {
 
 
 def _scan_tuple(problem: str, params) -> list:
-    """The scan records of one valid tuple.  A structural or theorem check
-    that fails gives the tuple a single ``fail`` record naming the check and
-    the exception, and the scan goes on."""
+    """The scan records of one valid tuple.  A structural, theorem or
+    consistency check that fails gives the tuple a single ``fail`` record
+    naming the check and the exception, and the scan goes on."""
     ctx, plane = _WORKER["ctx"], _WORKER["plane"]
     rec = _record_base(ctx, params.alpha, params.beta)
     try:
         model = build_obm_unital(ctx, plane, params)
         rec["beta_real"] = params.beta_real
         return [{**rec, **fields} for fields in _SCANS[problem](model)]
-    except (TheoremViolation, StructuralViolation) as exc:
+    except (TheoremViolation, StructuralViolation, InternalConsistencyError) as exc:
         rec.update(status="fail", check=problem, error=f"{type(exc).__name__}: {exc}")
         return [rec]
 
@@ -522,7 +529,8 @@ def _build_parser() -> _Parser:
         ("orbit", "elation orbit of a canonical pedal, partition lines, census"),
         ("scan", "open-problem scanners over all valid parameter pairs"),
     ):
-        cmd = sub.add_parser(name, help=blurb)
+        # no abbreviations: _with_env_flags recognises each flag by its full spelling
+        cmd = sub.add_parser(name, help=blurb, allow_abbrev=False)
         for option, settings in _FLAGS:
             cmd.add_argument(option, **settings)
     return parser

@@ -32,31 +32,21 @@ class ElationGroup:
     def order(self) -> int:
         return self.ctx.q
 
-    def elements(self) -> range:
-        return range(self.ctx.q)
-
-    def compose(self, t: int, s: int) -> int:
-        return self.ctx.qadd(t, s)
-
-    def inverse(self, t: int) -> int:
-        return self.ctx.qneg(t)
-
-    def apply_point(self, t: int, point: PointId) -> PointId:
-        a, b, c = self.plane.coords(point)
-        ctx = self.ctx
-        return self.plane.point_id(a, ctx.add(b, ctx.mul(t, c)), c)
-
-    def apply_points(self, t: int, points) -> np.ndarray:
+    def apply_points(self, t, points) -> np.ndarray:
+        """Point ids moved by E_t: [x, y, z] -> [x, y + t*z, z]; t and points
+        broadcast against each other."""
         ctx = self.ctx
         pc = self.plane._coords[np.asarray(points, dtype=np.int32)]
         b = ctx.add_t[pc[..., 1], ctx.mul_t[t, pc[..., 2]]]
         return self.plane.point_ids_vec(pc[..., 0], b, pc[..., 2])
 
-    def apply_line(self, t: int, line: LineId) -> LineId:
-        """Inverse-transpose action: [x, y, z]^t -> [x, y, z - t*y]^t."""
-        x, y, z = self.plane.coords(line)
+    def apply_lines(self, t, lines) -> np.ndarray:
+        """Line ids moved by E_t, the inverse-transpose action
+        [x, y, z]^t -> [x, y, z - t*y]^t; broadcasts like :meth:`apply_points`."""
         ctx = self.ctx
-        return self.plane.line_id(x, y, ctx.sub(z, ctx.mul(t, y)))
+        lc = self.plane._coords[np.asarray(lines, dtype=np.int32)]
+        c = ctx.add_t[lc[..., 2], ctx.neg_t[ctx.mul_t[t, lc[..., 1]]]]
+        return self.plane.point_ids_vec(lc[..., 0], lc[..., 1], c)
 
 
 @dataclass(frozen=True)

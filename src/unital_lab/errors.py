@@ -25,7 +25,8 @@ class StructuralViolation(RuntimeError):
     """A constructed point set fails the unital axiom; signals a construction bug.
 
     Everything downstream assumes every line meets the unital in 1 or q+1
-    points, so this aborts the run instead of producing garbage censuses.
+    points, so this stops the work on that set instead of producing garbage
+    censuses; a sweep records it as the tuple's ``fail`` record.
     """
 
 
@@ -34,4 +35,8 @@ class TheoremViolation(RuntimeError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """Two supposedly equivalent evaluation routes disagreed."""
+    """A closed form disagreed with the data it describes: canonical feet
+    off the unital or unequal to the brute-force feet, a foot's r outside
+    GF(q), or the GF(q)-coordinate quadratic system unequal to a trace
+    class.  Signals a formula bug; a sweep records it as the tuple's
+    ``fail`` record."""

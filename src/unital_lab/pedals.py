@@ -12,11 +12,11 @@ where x runs over the parameter set
     { x : 2*lam*e + alpha*x^2 - conj(alpha)*conj(x)^2
           + (beta - conj(beta)) * N(x)  =  0 }.
 
-The membership condition is evaluated three independent ways (directly, via
-the 2x2 matrix [[alpha, h], [h, -conj(alpha)]] with h = (beta-conj(beta))/2
-sandwiched between (x, conj(x)), and via the imaginary-part form
-2*lam*e + 2*e*Im(alpha*x^2) + (beta-conj(beta))*N(x)); the routes are
-compared on every element and any disagreement raises.
+Each closed-form foot is checked against the unital's membership mask, which
+is built from the generators and not from this formula.  The equivalent
+matrix and imaginary-part forms of the condition, and the second foot
+representation, are compared with these once, exhaustively, in the
+acceptance suite (criterion 07).
 """
 
 from __future__ import annotations
@@ -101,49 +101,41 @@ class IntersectionCensus:
         return out
 
 
-def _require_external(U: UnitalModel, point: PointId) -> None:
-    if point in U:
+def _require_external(U: UnitalModel, points) -> None:
+    points = np.atleast_1d(np.asarray(points, dtype=np.int32))
+    on_unital = points[U.mask[points]]
+    if on_unital.size:
         raise ValueError(
-            f"{U.plane.format_point(point)} lies on the unital; feet are defined "
-            "for external points only"
+            f"{U.plane.format_point(int(on_unital[0]))} lies on the unital; feet are "
+            "defined for external points only"
         )
 
 
 def feet_of(U: UnitalModel, point: PointId) -> PedalSet:
-    """Brute-force pedal: classify the q^2+1 lines through the point by
-    counting unital points on each, and take the touching point of every
-    tangent.  Uses only incidence and membership."""
-    _require_external(U, point)
-    plane = U.plane
-    lines = plane.lines_through(point)
-    on_lines = plane.incidence[lines]
-    memb = U.mask[on_lines]
-    counts = memb.sum(axis=1)
-    tangent_rows = counts == 1
-    feet = on_lines[tangent_rows][memb[tangent_rows]]
-    expected = U.ctx.q + 1
-    if feet.size != expected:
-        raise TheoremViolation(
-            f"{feet.size} feet found for {plane.format_point(point)}; expected {expected}"
-        )
-    feet = np.sort(feet)
-    return PedalSet(base=point, feet=tuple(int(f) for f in feet))
+    """Brute-force pedal of one external point: :func:`feet_of_many` on a
+    one-row batch."""
+    return PedalSet(base=point, feet=tuple(feet_of_many(U, [point])[0].tolist()))
 
 
 def feet_of_many(U: UnitalModel, bases) -> np.ndarray:
-    """Vectorized pedals for an array of external base points: the feet
-    matrix of shape (len(bases), q+1), each row in id order.  Row i is
-    collinear exactly when ``U.plane.max_collinear(feet)[i] == q + 1``.
+    """Brute-force pedals for an array of external base points: the touch
+    points of the tangent lines through each base, as a feet matrix of shape
+    (len(bases), q+1), each row in id order.  Row i is collinear exactly
+    when ``U.plane.max_collinear(feet)[i] == q + 1``.
     """
-    plane = U.plane
+    plane, q = U.plane, U.ctx.q
     bases = np.asarray(bases, dtype=np.int32)
-    if bool(np.any(U.mask[bases])):
-        raise ValueError("feet_of_many requires external base points")
+    _require_external(U, bases)
     lines = plane.incidence[bases]
     tangent = U.line_counts[lines] == 1
-    if not bool(np.all(tangent.sum(axis=1) == U.ctx.q + 1)):
-        raise TheoremViolation("some base point does not lie on exactly q+1 tangent lines")
-    feet = U.touch_points[lines[tangent]].reshape(bases.size, U.ctx.q + 1)
+    per_base = tangent.sum(axis=1)
+    bad = np.flatnonzero(per_base != q + 1)
+    if bad.size:
+        raise TheoremViolation(
+            f"{plane.format_point(int(bases[bad[0]]))} lies on {per_base[bad[0]]} tangent "
+            f"lines; expected {q + 1}"
+        )
+    feet = U.touch_points[lines[tangent]].reshape(bases.size, q + 1)
     feet.sort(axis=1)
     return feet
 
@@ -167,52 +159,24 @@ def _require_nonclassical(U: UnitalModel) -> None:
         raise ValueError("this operation requires an OBM unital with alpha != 0")
 
 
-def membership_forms(U: UnitalModel, lam: int) -> dict[str, np.ndarray]:
-    """The three equivalent evaluations of the foot-parameter condition on
-    every x in GF(q^2); each entry is the array of GF(q^2) values whose zeros
-    are the parameters."""
+def foot_parameters(U: UnitalModel, lam: int) -> np.ndarray:
+    """Sorted parameter codes x of the canonical-frame feet: the zeros of
+    2*lam*e + alpha*x^2 - conj(alpha)*conj(x)^2 + (beta - conj(beta))*N(x)
+    over all of GF(q^2)."""
     _check_lambda(U, lam)
-    ctx = U.ctx
-    p = U.params
-    add, mul, neg, conj = ctx.add_t, ctx.mul_t, ctx.neg_t, ctx.conj_t
+    ctx, p = U.ctx, U.params
+    add, mul, neg = ctx.add_t, ctx.mul_t, ctx.neg_t
     x = np.arange(ctx.q2, dtype=np.int32)
-    xbar = conj[x]
+    xbar = ctx.conj_t[x]
     two_lam_eps = ctx.pack(0, ctx.qmul(ctx.scalar(2), lam))
     b_minus_bbar = ctx.sub(p.beta, ctx.conj(p.beta))
-
     ax2 = mul[p.alpha, mul[x, x]]
-    direct = add[
+    value = add[
         add[add[two_lam_eps, ax2], neg[mul[ctx.conj(p.alpha), mul[xbar, xbar]]]],
         mul[b_minus_bbar, ctx.norm_t[x]],
     ]
-
-    h = ctx.div(b_minus_bbar, ctx.scalar(2))
-    m_top = add[mul[p.alpha, x], mul[h, xbar]]
-    m_bot = add[mul[h, x], mul[ctx.neg(ctx.conj(p.alpha)), xbar]]
-    matrix = add[two_lam_eps, add[mul[x, m_top], mul[xbar, m_bot]]]
-
-    im_ax2 = ax2 // ctx.q
-    im_term = ctx.q * ctx.qmul_t[ctx.scalar(2), im_ax2]  # pack(0, 2*Im(alpha x^2))
-    imnorm = add[add[two_lam_eps, im_term], mul[b_minus_bbar, ctx.norm_t[x]]]
-
-    return {"direct": direct, "matrix": matrix, "imnorm": imnorm}
-
-
-def foot_parameters(U: UnitalModel, lam: int) -> np.ndarray:
-    """Sorted parameter codes x of the canonical-frame feet.
-
-    All three evaluation routes are compared on every element of GF(q^2)
-    before the zero set is returned.
-    """
-    forms = membership_forms(U, lam)
-    direct = forms["direct"]
-    for name in ("matrix", "imnorm"):
-        if not np.array_equal(direct, forms[name]):
-            raise InternalConsistencyError(
-                f"membership evaluation via {name} form disagrees with the direct form"
-            )
-    params = np.nonzero(direct == 0)[0].astype(np.int32)
-    expected = U.ctx.q + 1
+    params = np.nonzero(value == 0)[0].astype(np.int32)
+    expected = ctx.q + 1
     if params.size != expected:
         raise TheoremViolation(f"|parameter set| = {params.size}, expected {expected}")
     return params
@@ -233,37 +197,21 @@ def foot_unital_r(U: UnitalModel, lam: int, x: int) -> int:
 
 
 def feet_closed_form(U: UnitalModel, lam: int) -> PedalSet:
-    """Canonical-frame pedal via the closed form, cross-checked against the
-    equivalent representation [x, 2*alpha*x^2 + (beta-conj(beta))*N(x) + lam*e, 1]."""
+    """Canonical-frame pedal via the closed form Q_x = [x, T(alpha*x^2) - lam*e, 1];
+    every foot must be a unital point."""
     _require_nonclassical(U)
     ctx, plane = U.ctx, U.plane
-    p = U.params
     xs = foot_parameters(U, lam)
-    add, mul, neg = ctx.add_t, ctx.mul_t, ctx.neg_t
-
-    ax2 = mul[p.alpha, mul[xs, xs]]
-    lam_eps = ctx.pack(0, lam)
-    y1 = add[trace_value(U, xs), neg[lam_eps]]
-    ids = plane.point_ids_vec(xs, y1, np.ones_like(xs))
-
-    two = ctx.scalar(2)
-    b_minus_bbar = ctx.sub(p.beta, ctx.conj(p.beta))
-    y2 = add[add[mul[two, ax2], mul[b_minus_bbar, ctx.norm_t[xs]]], lam_eps]
-    ids2 = plane.point_ids_vec(xs, y2, np.ones_like(xs))
-    if not np.array_equal(ids, ids2):
-        raise InternalConsistencyError("the two closed-form foot representations disagree")
+    y = ctx.add_t[trace_value(U, xs), ctx.neg(ctx.pack(0, lam))]
+    ids = plane.point_ids_vec(xs, y, np.ones_like(xs))
     if not bool(np.all(U.mask[ids])):
         raise InternalConsistencyError("closed-form feet are not all unital points")
-
-    base = canonical_base_point(U, lam)
-    order = np.argsort(ids)
-    feet = tuple(int(i) for i in ids[order])
     return PedalSet(
-        base=base,
-        feet=feet,
+        base=canonical_base_point(U, lam),
+        feet=tuple(np.sort(ids).tolist()),
         lam=lam,
-        foot_params=tuple(int(x) for x in xs),
-        param_point={int(x): int(i) for x, i in zip(xs, ids)},
+        foot_params=tuple(xs.tolist()),
+        param_point=dict(zip(xs.tolist(), ids.tolist())),
     )
 
 

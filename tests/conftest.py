@@ -43,6 +43,18 @@ def swapped_for_external(model) -> UnitalModel:
     )
 
 
+def brute_feet(model, point) -> tuple[int, ...]:
+    """Oracle for the feet of an external point from incidence and membership
+    only: classify the q^2+1 lines through the point by counting the set's
+    points on each, and take the one set point of every 1-point line, in id
+    order."""
+    plane = model.plane
+    on_lines = plane.incidence[plane.lines_through(point)]
+    members = model.mask[on_lines]
+    tangent = members.sum(axis=1) == 1
+    return tuple(sorted(on_lines[tangent][members[tangent]].tolist()))
+
+
 # q in {3, 5, 7, 9, 13} <-> (p, n) pairs used across the suite
 PN_BY_Q = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1)}
 

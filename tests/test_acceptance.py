@@ -22,7 +22,6 @@ from unital_lab import (
     feet_of_many,
     foot_parameters,
     line_pedal_census,
-    membership_forms,
     orbit_of_pedal,
     partition_lines_for_orbit,
     same_trace_solutions,
@@ -33,7 +32,7 @@ from unital_lab import (
     validate_params,
 )
 
-from conftest import PN_BY_Q, get_ctx, get_geometry
+from conftest import PN_BY_Q, brute_feet, get_ctx, get_geometry
 
 ALL_Q = (3, 5, 7, 9, 13)
 SMALL_Q = (3, 5)
@@ -154,14 +153,9 @@ def test_criterion_05_collinearity_dichotomy():
                 [int(P) for P in plane.points_on(plane.infinity_line) if P not in model],
                 dtype=np.int32,
             )
-            translates = np.asarray(
-                sorted(
-                    group.apply_point(t, canonical_base_point(model, lam))
-                    for lam in (1, ctx.w)
-                    for t in group.elements()
-                ),
-                dtype=np.int32,
-            )
+            canonical = [canonical_base_point(model, lam) for lam in (1, ctx.w)]
+            ts = np.arange(group.order, dtype=np.int32)[:, None]
+            translates = np.sort(group.apply_points(ts, canonical).ravel())
             bases = np.concatenate([inf_ext, translates])
             coll = plane.max_collinear(feet_of_many(model, bases)) == ctx.q + 1
             ok = ok and bool(np.array_equal(coll, on_inf[bases]))
@@ -201,26 +195,80 @@ def test_criterion_06_census_theorem():
     _report(6, "census support {0,1,2,4} with the [1,0,0] line structure, q <= 9", ok)
 
 
+def _membership_forms(ctx, params, lam) -> dict[str, np.ndarray]:
+    """The foot-parameter condition evaluated three ways on every x in
+    GF(q^2), each an array whose zeros are the parameters:
+
+    * direct: 2*lam*e + alpha*x^2 - conj(alpha)*conj(x)^2 + (beta - conj(beta))*N(x);
+    * matrix: 2*lam*e + (x, conj(x)) M (x, conj(x))^t with
+      M = [[alpha, h], [h, -conj(alpha)]] and h = (beta - conj(beta))/2;
+    * imnorm: 2*lam*e + 2*e*Im(alpha*x^2) + (beta - conj(beta))*N(x).
+    """
+    add, mul, neg = ctx.add_t, ctx.mul_t, ctx.neg_t
+    x = np.arange(ctx.q2, dtype=np.int32)
+    xbar = ctx.conj_t[x]
+    two_lam_eps = ctx.pack(0, ctx.qmul(ctx.scalar(2), lam))
+    b_minus_bbar = ctx.sub(params.beta, ctx.conj(params.beta))
+    ax2 = mul[params.alpha, mul[x, x]]
+    direct = add[
+        add[add[two_lam_eps, ax2], neg[mul[ctx.conj(params.alpha), mul[xbar, xbar]]]],
+        mul[b_minus_bbar, ctx.norm_t[x]],
+    ]
+    h = ctx.div(b_minus_bbar, ctx.scalar(2))
+    m_top = add[mul[params.alpha, x], mul[h, xbar]]
+    m_bot = add[mul[h, x], mul[ctx.neg(ctx.conj(params.alpha)), xbar]]
+    matrix = add[two_lam_eps, add[mul[x, m_top], mul[xbar, m_bot]]]
+    im_term = ctx.q * ctx.qmul_t[ctx.scalar(2), ax2 // ctx.q]  # pack(0, 2*Im(alpha x^2))
+    imnorm = add[add[two_lam_eps, im_term], mul[b_minus_bbar, ctx.norm_t[x]]]
+    return {"direct": direct, "matrix": matrix, "imnorm": imnorm}
+
+
+def _second_representation(ctx, plane, params, lam, xs) -> np.ndarray:
+    """Point ids of [x, 2*alpha*x^2 + (beta - conj(beta))*N(x) + lam*e, 1]."""
+    add, mul = ctx.add_t, ctx.mul_t
+    b_minus_bbar = ctx.sub(params.beta, ctx.conj(params.beta))
+    y = add[
+        add[mul[ctx.scalar(2), mul[params.alpha, mul[xs, xs]]], mul[b_minus_bbar, ctx.norm_t[xs]]],
+        ctx.pack(0, lam),
+    ]
+    return plane.point_ids_vec(xs, y, np.ones_like(xs))
+
+
 def test_criterion_07_closed_form_equals_brute_force():
-    """canonical feet = brute-force feet as sets; |T| = q+1 and closed under
-    negation; the three membership forms agree on all of GF(q^2).  Exact,
-    every nonclassical valid tuple, both lam, q <= 13."""
+    """The three membership forms agree on all of GF(q^2) and their zero set
+    is the parameter set T, with |T| = q+1 and T closed under negation; the
+    closed-form feet equal the second representation
+    [x, 2*alpha*x^2 + (beta-conj(beta))*N(x) + lam*e, 1]; the canonical feet,
+    feet_of and the incidence-and-membership oracle give the same set.
+    Exact, every nonclassical valid tuple, both lam, q <= 13.
+
+    feet_of reads only the model's point set, so it runs on the last model
+    whose point set equals this tuple's, compared on every tuple.  The q
+    tuples (alpha, beta + c), c in GF(q), share one set and come in a run,
+    so this saves a line pass per tuple (about 45 s at q = 13)."""
     ok = True
     for q in ALL_Q:
         ctx, plane = get_geometry(*PN_BY_Q[q])
+        same_set = None
         for params in _nonclassical(ctx):
             model = build_obm_unital(ctx, plane, params)
+            if same_set is None or not np.array_equal(same_set.points, model.points):
+                same_set = model
             for lam in (1, ctx.w):
-                forms = membership_forms(model, lam)
+                forms = _membership_forms(ctx, params, lam)
                 ok = ok and bool(np.array_equal(forms["direct"], forms["matrix"]))
                 ok = ok and bool(np.array_equal(forms["direct"], forms["imnorm"]))
-                closed = feet_closed_form(model, lam)  # checks both representations
-                xs = set(closed.foot_params)
-                ok = ok and len(xs) == q + 1 and 0 not in xs
-                ok = ok and {ctx.neg(x) for x in xs} == xs
-                brute = feet_of(model, closed.base)
-                ok = ok and closed.feet == brute.feet
-    _report(7, "closed form = brute force; parameter-set laws; 3 forms agree, q <= 13", ok)
+                closed = feet_closed_form(model, lam)
+                xs = np.asarray(closed.foot_params, dtype=np.int32)
+                ok = ok and bool(np.array_equal(xs, np.flatnonzero(forms["direct"] == 0)))
+                ok = ok and xs.size == q + 1 and 0 not in xs
+                ok = ok and set(ctx.neg_t[xs].tolist()) == set(xs.tolist())
+                ids = [closed.param_point[x] for x in closed.foot_params]
+                second = _second_representation(ctx, plane, params, lam, xs)
+                ok = ok and bool(np.array_equal(ids, second))
+                oracle = brute_feet(model, closed.base)
+                ok = ok and closed.feet == feet_of(same_set, closed.base).feet == oracle
+    _report(7, "3 forms and 2 foot forms agree; closed form = feet_of = oracle, q <= 13", ok)
 
 
 def test_criterion_08_two_arc_theorem():
@@ -314,15 +362,15 @@ def test_criterion_11_elation_suite():
         all_points = np.arange(plane.size, dtype=np.int32)
         probe = build_obm_unital(ctx, plane, _nonclassical(ctx)[0])
         group = ElationGroup(probe)
-        for t in group.elements():
-            for s in group.elements():
+        for t in range(group.order):
+            for s in range(group.order):
                 lhs = group.apply_points(t, group.apply_points(s, all_points))
                 ok = ok and bool(np.array_equal(lhs, group.apply_points(ctx.qadd(t, s), all_points)))
         corner = plane.point_id(1, 0, 0)
         for params in _nonclassical(ctx):
             model = build_obm_unital(ctx, plane, params)
             group = ElationGroup(model)
-            for t in group.elements():
+            for t in range(group.order):
                 ok = ok and bool(
                     np.array_equal(np.sort(group.apply_points(t, model.points)), model.points)
                 )

@@ -3,7 +3,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from unital_lab import DegenerateConfiguration, DegenerateInput, TheoremViolation, cli
+from unital_lab import (
+    DegenerateConfiguration,
+    DegenerateInput,
+    InternalConsistencyError,
+    StructuralViolation,
+    TheoremViolation,
+    cli,
+)
 
 from conftest import swapped_for_external
 
@@ -389,6 +396,17 @@ def test_explicit_lambda_beats_point_from_the_environment(capsys, monkeypatch):
     assert report["records"][0]["base_point"] == "[0,1,e*2]"
 
 
+def test_an_abbreviated_flag_is_unrecognised(capsys, monkeypatch):
+    # argparse would read --poi as --point, which the environment's --lambda
+    # does not know to yield to; each flag has one spelling
+    monkeypatch.setenv("UNITAL_LAB_LAMBDA", "1")
+    pedal = ["pedal", "--p", "3", "--alpha", "1+e", "--beta", "0"]
+    code = cli.main([*pedal, "--poi", "1,1,1"])
+    err = capsys.readouterr().err
+    assert code == 1 and "unrecognized arguments: --poi 1,1,1" in err
+    assert run_cli([*pedal, "--point", "1,1,1"], capsys)[0] == 0
+
+
 def test_reports_byte_identical_across_jobs(tmp_path, capsys):
     commands = {
         "verify": ["verify", "--p", "3", "--n", "1"],
@@ -511,3 +529,62 @@ def test_verify_record_of_corrupted_model_fails_its_checks(monkeypatch):
         "attains_bound": True,
         "tangent_formula_matches_oracle": False,
     }
+
+
+def test_scan_records_an_inconsistent_tuple_and_goes_on(capsys, monkeypatch):
+    scan = ["scan", "--p", "3", "--n", "1", "--problem", "conics"]
+    code, clean = run_json(scan, capsys)
+    assert code == 0
+    real = cli.feet_closed_form
+    tuple_of = lambda r: (r["alpha"], r["beta"])
+    broken = tuple_of(clean["records"][4])
+
+    def feet_closed_form(model, lam):
+        ctx, params = model.ctx, model.params
+        if (ctx.format_fq2(params.alpha), ctx.format_fq2(params.beta)) == broken:
+            raise InternalConsistencyError("closed-form feet are not all unital points")
+        return real(model, lam)
+
+    monkeypatch.setattr(cli, "feet_closed_form", feet_closed_form)
+    code, report = run_json(scan, capsys)
+    assert code == 2
+    (fail,) = [r for r in report["records"] if r.get("status") == "fail"]
+    assert tuple_of(fail) == broken and fail["check"] == "conics"
+    assert fail["error"] == "InternalConsistencyError: closed-form feet are not all unital points"
+    rest = [r for r in report["records"] if r.get("status") != "fail"]
+    assert rest == [r for r in clean["records"] if tuple_of(r) != broken]
+
+
+def test_verify_records_a_failed_build_and_goes_on(capsys, monkeypatch):
+    verify = ["verify", "--p", "3", "--n", "1"]
+    code, clean = run_json(verify, capsys)
+    assert code == 0
+    real = cli.build_obm_unital
+    broken = next(r for r in clean["records"] if r["status"] == "pass")
+    tuple_of = lambda r: (r["alpha"], r["beta"])
+
+    def build_obm_unital(ctx, plane, params):
+        if (ctx.format_fq2(params.alpha), ctx.format_fq2(params.beta)) == tuple_of(broken):
+            raise StructuralViolation("generating map (x, r) -> point is not injective")
+        return real(ctx, plane, params)
+
+    monkeypatch.setattr(cli, "build_obm_unital", build_obm_unital)
+    code, out = run_cli(verify, capsys)
+    assert code == 2
+    assert run_cli([*verify, "--jobs", "8"], capsys) == (2, out)
+    report = json.loads(out)
+    records = report["records"]
+    assert len(records) == len(clean["records"])
+    for rec, ref in zip(records, clean["records"]):
+        if ref is broken:
+            base = {k: ref[k] for k in ("tool_version", "p", "n", "w", "alpha", "beta")}
+            assert rec == {
+                **base,
+                "status": "fail",
+                "check": "build",
+                "error": "StructuralViolation: generating map (x, r) -> point is not injective",
+            }
+        else:
+            assert rec == ref
+    passed = clean["summary"]["pass"] - 1
+    assert report["summary"] == {**clean["summary"], "pass": passed, "fail": 1}

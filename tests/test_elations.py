@@ -32,14 +32,15 @@ def setup():
 def test_group_laws_on_every_point(setup):
     ctx, plane, model, group = setup
     all_points = np.arange(plane.size, dtype=np.int32)
-    for t in group.elements():
-        for s in group.elements():
+    # composition is addition in GF(q), the inverse is negation
+    for t in range(group.order):
+        for s in range(group.order):
             lhs = group.apply_points(t, group.apply_points(s, all_points))
-            rhs = group.apply_points(group.compose(t, s), all_points)
+            rhs = group.apply_points(ctx.qadd(t, s), all_points)
             assert np.array_equal(lhs, rhs)
     assert np.array_equal(group.apply_points(0, all_points), all_points)
-    for t in group.elements():
-        undone = group.apply_points(group.inverse(t), group.apply_points(t, all_points))
+    for t in range(group.order):
+        undone = group.apply_points(ctx.qneg(t), group.apply_points(t, all_points))
         assert np.array_equal(undone, all_points)
 
 
@@ -47,7 +48,7 @@ def test_axis_fixed_pointwise_and_semiregular(setup):
     ctx, plane, model, group = setup
     axis = plane.points_on(plane.infinity_line)
     off_axis = np.setdiff1d(np.arange(plane.size, dtype=np.int32), axis)
-    for t in group.elements():
+    for t in range(group.order):
         assert np.array_equal(group.apply_points(t, axis), axis)
         moved = group.apply_points(t, off_axis)
         if t == 0:
@@ -61,7 +62,7 @@ def test_unital_invariance_all_tuples(setup):
     for params in valid_parameter_pairs(ctx):
         model = build_obm_unital(ctx, plane, params)
         group = ElationGroup(model)
-        for t in group.elements():
+        for t in range(group.order):
             image = np.sort(group.apply_points(t, model.points))
             assert np.array_equal(image, model.points)
 
@@ -70,16 +71,15 @@ def test_affine_action_and_translates(setup):
     ctx, plane, model, group = setup
     # [x, y, 1] -> [x, y + t, 1], staying in the unital (r -> r + t)
     ids, xs, rs = model.generators
-    for t in group.elements():
-        for pid, x, r in zip(ids[:10], xs[:10], rs[:10]):
-            image = group.apply_point(t, int(pid))
+    for t in range(group.order):
+        for image, x, r in zip(group.apply_points(t, ids[:10]).tolist(), xs[:10], rs[:10]):
             xx, rr = model.generating_pair(image)
             assert xx == int(x) and rr == ctx.qadd(int(r), t)
     # canonical base translates: [0, lam*e + t, 1]
     for lam in (1, ctx.w):
         base = plane.point_id(0, ctx.pack(0, lam), 1)
-        for t in group.elements():
-            assert group.apply_point(t, base) == plane.point_id(
+        for t in range(group.order):
+            assert group.apply_points(t, [base])[0] == plane.point_id(
                 0, ctx.add(ctx.pack(0, lam), t), 1
             )
 
@@ -87,21 +87,28 @@ def test_affine_action_and_translates(setup):
 def test_line_action_preserves_incidence(setup):
     ctx, plane, model, group = setup
     rng = np.random.default_rng(4)
-    for t in group.elements():
-        for _ in range(40):
-            p = int(rng.integers(0, plane.size))
-            l = int(rng.integers(0, plane.size))
-            assert plane.incident(p, l) == plane.incident(
-                group.apply_point(t, p), group.apply_line(t, l)
+    ts = np.arange(group.order, dtype=np.int32)[:, None]
+    points = rng.integers(0, plane.size, size=40)
+    lines = rng.integers(0, plane.size, size=40)
+    moved_points, moved_lines = group.apply_points(ts, points), group.apply_lines(ts, lines)
+    for t in range(group.order):
+        for p, l, mp, ml in zip(points, lines, moved_points[t], moved_lines[t]):
+            assert plane.incident(int(p), int(l)) == plane.incident(int(mp), int(ml))
+        assert np.array_equal(moved_lines[t], group.apply_lines(t, lines))  # broadcast = one t
+    # every line through a point goes to a line through its image
+    for t in range(group.order):
+        for p in points.tolist():
+            image = group.apply_points(t, [p])[0]
+            assert np.array_equal(
+                np.sort(group.apply_lines(t, plane.lines_through(p))), plane.lines_through(image)
             )
 
 
 def test_joining_point_to_image_passes_through_center(setup):
     ctx, plane, model, group = setup
     ped = feet_closed_form(model, 1)
-    for A in ped.feet:
-        for t in range(1, ctx.q):
-            B = group.apply_point(t, A)
+    for t in range(1, ctx.q):
+        for A, B in zip(ped.feet, group.apply_points(t, ped.feet).tolist()):
             assert plane.incident(model.infinity_point, plane.join(A, B))
 
 
@@ -121,7 +128,7 @@ def test_orbit_structure_q3(setup):
         assert orbit.size == ctx.q * (ctx.q + 1) == 12
         assert len(orbit.pedals) == ctx.q
         for t, feet in orbit.pedals:
-            moved = group.apply_point(t, ped.base)
+            moved = group.apply_points(t, [ped.base])[0]
             assert feet_of(model, moved).feet == feet
 
 
@@ -130,11 +137,12 @@ def test_pedal_image_preserves_chord_intersections(setup):
     ctx, plane, model, group = setup
     ped = feet_closed_form(model, 1)
     base_feet = set(ped.feet)
-    for t in group.elements():
-        img_feet = set(int(x) for x in group.apply_points(t, np.asarray(ped.feet)))
+    for t in range(group.order):
+        image = dict(zip(ped.feet, group.apply_points(t, ped.feet).tolist()))
+        img_feet = set(image.values())
         for A, C in combinations(ped.feet, 2):
             before = base_feet & {int(x) for x in plane.points_on(plane.join(A, C))}
-            lid = plane.join(group.apply_point(t, A), group.apply_point(t, C))
+            lid = plane.join(image[A], image[C])
             after = img_feet & {int(x) for x in plane.points_on(lid)}
             assert len(before) == len(after)
 
@@ -184,7 +192,7 @@ def test_partition_line_parameter_equation(setup):
             t_re, t_im = ctx.unpack(ctx.add(gamma, ctx.sub(lam_eps, trace_value(model, y))))
             # gamma + lam*e - T(alpha y^2) lands in GF(q)
             assert t_im == 0
-            moved = group.apply_point(t_re, ped.param_point[y])
+            moved = group.apply_points(t_re, [ped.param_point[y]])[0]
             assert plane.incident(moved, lid)
 
 

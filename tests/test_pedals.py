@@ -19,7 +19,6 @@ from unital_lab import (
     foot_unital_r,
     is_single_arc,
     line_pedal_census,
-    membership_forms,
     same_trace_solutions,
     secant_partition,
     secant_partitions,
@@ -31,7 +30,7 @@ from unital_lab import (
     validate_params,
 )
 
-from conftest import get_geometry
+from conftest import brute_feet, get_geometry
 
 
 @pytest.fixture(scope="module")
@@ -69,14 +68,17 @@ def test_feet_rejects_unital_points(q3_model):
 
 
 def test_feet_of_many_matches_scalar(q3_model):
+    # every row against the incidence-and-membership oracle and feet_of
     ctx, plane, model = q3_model
     ext = externals(plane, model)
     feet = feet_of_many(model, ext)
     coll = plane.max_collinear(feet) == ctx.q + 1
     for i, P in enumerate(ext):
         ped = feet_of(model, P)
-        assert tuple(int(x) for x in feet[i]) == ped.feet
+        assert tuple(feet[i].tolist()) == ped.feet == brute_feet(model, P)
         assert bool(coll[i]) == plane.collinear(ped.feet)
+    with pytest.raises(ValueError, match="lies on the unital"):
+        feet_of_many(model, [ext[0], int(model.points[3])])
 
 
 def test_classical_pedals_always_collinear():
@@ -143,12 +145,13 @@ def test_parameter_set_properties(q3_model):
         assert {int(x) for x in xs} == {ctx.neg(int(x)) for x in xs}
 
 
-def test_membership_forms_agree_everywhere(q5_model):
+def test_foot_parameters_are_the_x_of_the_brute_force_feet(q5_model):
+    # the x of each oracle foot [x, y, 1] is a/c for its stored coordinates [a, b, c]
     ctx, plane, model = q5_model
     for lam in (1, ctx.w):
-        forms = membership_forms(model, lam)
-        assert np.array_equal(forms["direct"], forms["matrix"])
-        assert np.array_equal(forms["direct"], forms["imnorm"])
+        feet = brute_feet(model, canonical_base_point(model, lam))
+        xs = sorted(ctx.div(a, c) for a, _, c in map(plane.coords, feet))
+        assert foot_parameters(model, lam).tolist() == xs
 
 
 def test_lambda_restricted_to_1_and_w(q3_model):

@@ -142,8 +142,8 @@ def test_elations_fix_every_obm_unital(q, data):
     image = group.apply_points(t, model.points)
     assert np.array_equal(np.sort(image), model.points)
     point = data.draw(st.integers(0, plane.size - 1))
-    moved = group.apply_point(t, point)
-    assert moved == group.apply_points(t, [point])[0]
+    moved = int(group.apply_points(t, [point])[0])
     assert (moved in model) == (point in model)
     line = data.draw(st.integers(0, plane.size - 1))
-    assert plane.incident(point, line) == plane.incident(moved, group.apply_line(t, line))
+    moved_line = int(group.apply_lines(t, [line])[0])
+    assert plane.incident(point, line) == plane.incident(moved, moved_line)
