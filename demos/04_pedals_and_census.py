@@ -14,7 +14,6 @@ from unital_lab import (
     feet_of,
     line_pedal_census,
     same_trace_solutions,
-    trace_classes,
     validate_params,
 )
 
@@ -39,16 +38,17 @@ print(f"\npedal of {plane.format_point(on_inf)} on the infinity line: "
 
 # The census over all q^4+q^2+1 lines.
 census = line_pedal_census(U, pedal)
-print(f"\ncensus of |line ∩ pedal| over {census.lines_examined} lines: {census.histogram}")
+print(f"\ncensus of |line ∩ pedal| over {plane.size} lines: {census.histogram}")
 for size in (4, 2):
     for lid, pts in census.witnesses.get(size, [])[:1]:
         print(f"  size-{size} witness {plane.format_line(lid, human=True)}: "
               + ", ".join(plane.format_point(p) for p in pts))
 
 # Feet sharing the value T(alpha x^2) sit together on a line through [1,0,0];
-# each class solves a pair of quadratics over GF(q) in two independent ways.
-classes = trace_classes(U, 1)
+# the pedal carries these classes, and a pair of quadratics over GF(q)
+# confirms each one.
+classes = pedal.trace_classes
 print("\ntrace classes:", {t: [ctx.format_fq2(x) for x in cls] for t, cls in classes.items()})
+same_trace_solutions(U, pedal)  # raises unless the system gives every class exactly
 for t, cls in classes.items():
-    sols = same_trace_solutions(U, 1, cls[0])
-    print(f"  trace {t}: quadratic system confirms {len(sols)} solutions")
+    print(f"  trace {t}: quadratic system confirms {len(cls)} solutions")

@@ -41,7 +41,6 @@ from .pedals import (
     same_trace_solutions,
     secant_partition,
     secant_partitions,
-    trace_classes,
     trace_level_line,
     trace_value,
     two_arc_partition,

@@ -44,6 +44,7 @@ from .errors import (
 )
 from .fields import build_field_ctx
 from .pedals import (
+    PedalSet,
     arc_in_conic,
     canonical_base_point,
     feet_closed_form,
@@ -52,7 +53,6 @@ from .pedals import (
     is_single_arc,
     line_pedal_census,
     secant_partitions,
-    trace_classes,
     two_arc_partition,
 )
 from .plane import LineId, PointId, ProjectivePlane
@@ -241,8 +241,7 @@ def _pedal_payload(ctx, plane, model, base, lam) -> dict:
         rec["lambda"] = "1" if lam == 1 else "w"
         rec["foot_params"] = [ctx.format_fq2(x) for x in closed.foot_params]
         rec["trace_classes"] = {
-            str(t): [ctx.format_fq2(x) for x in cls]
-            for t, cls in trace_classes(model, lam, closed.foot_params).items()
+            str(t): [ctx.format_fq2(x) for x in cls] for t, cls in closed.trace_classes.items()
         }
     off_linf = not plane.incident(base, plane.infinity_line)
     if off_linf and not model.params.classical:
@@ -260,9 +259,8 @@ def cmd_pedal(args) -> tuple[dict, int]:
 
 def cmd_census(args) -> tuple[dict, int]:
     ctx, plane, model = _single_tuple(args)
-    base, lam = _resolve_base(ctx, plane, model, args)
-    pedal = feet_closed_form(model, lam) if lam is not None else feet_of(model, base)
-    census = line_pedal_census(model, pedal)
+    base, _ = _resolve_base(ctx, plane, model, args)
+    census = line_pedal_census(model, feet_of(model, base))
     return _single_report(args, ctx, model, census.as_json_dict(base=base))
 
 
@@ -315,13 +313,18 @@ def _lambdas(ctx) -> tuple[tuple[str, int], ...]:
 
 
 def _scan_four_lines(model) -> list:
-    censuses = [
-        line_pedal_census(model, feet_closed_form(model, lam)) for _, lam in _lambdas(model.ctx)
-    ]
     bases = _scan_bases(model)
-    # The canonical bases are among the scanned ones, so this also covers
-    # both censuses.
-    max_line_size = int(model.plane.max_collinear(feet_of_many(model, bases)).max())
+    feet = feet_of_many(model, bases)
+    # Each lambda census reads the feet row of its base among the sorted bases.
+    canonical = [canonical_base_point(model, lam) for _, lam in _lambdas(model.ctx)]
+    rows = np.searchsorted(bases, canonical).clip(max=bases.size - 1)
+    if not np.array_equal(bases[rows], canonical):
+        raise InternalConsistencyError("a canonical base is not among the scanned bases")
+    censuses = [
+        line_pedal_census(model, PedalSet(b, tuple(feet[r].tolist())))
+        for b, r in zip(canonical, rows)
+    ]
+    max_line_size = int(model.plane.max_collinear(feet).max())
     fields = {
         "scanned_bases": int(bases.size),
         "max_line_size": max_line_size,
@@ -457,13 +460,9 @@ def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     rows = [_flatten(rec) for rec in report["records"]]
-    header: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=sorted(header), lineterminator="\n")
+    header = sorted({key for row in rows for key in row})
+    writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow(row)

@@ -24,7 +24,6 @@ class ElationGroup:
     is addition of parameters, and the action is semi-regular off the axis."""
 
     def __init__(self, U: UnitalModel):
-        self.U = U
         self.ctx = U.ctx
         self.plane = U.plane
 

@@ -13,10 +13,12 @@ where x runs over the parameter set
           + (beta - conj(beta)) * N(x)  =  0 }.
 
 Each closed-form foot is checked against the unital's membership mask, which
-is built from the generators and not from this formula.  The equivalent
-matrix and imaginary-part forms of the condition, and the second foot
-representation, are compared with these once, exhaustively, in the
-acceptance suite (criterion 07).
+is built from the generators and not from this formula.  The pedal also
+carries its trace classes: the x grouped by T(alpha*x^2), one class per line
+through [1, 0, 0], read by the two-arc split and the quadratic cross-check.
+The equivalent matrix and imaginary-part forms of the condition, and the
+second foot representation, are compared with the closed form once,
+exhaustively, in the acceptance suite (criterion 07).
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ from .unitals import UnitalModel
 class PedalSet:
     """An external base point with its q+1 feet.
 
-    ``lam``/``foot_params`` are populated only on the canonical-frame path;
-    ``param_point`` then maps each parameter x to its foot Q_x.
+    ``lam``, ``foot_params``, ``param_point`` and ``trace_classes`` are
+    populated only on the canonical-frame path: ``param_point`` maps each
+    parameter x to its foot Q_x, and ``trace_classes`` is {T(alpha*x^2):
+    ascending x codes} in ascending T.
     """
 
     base: PointId
@@ -48,6 +52,7 @@ class PedalSet:
     lam: int | None = None
     foot_params: tuple[int, ...] | None = None
     param_point: dict[int, int] | None = field(default=None, repr=False)
+    trace_classes: dict[int, tuple[int, ...]] | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -65,7 +70,6 @@ class IntersectionCensus:
         self.counts = plane.line_counts(self.points)
         freq = np.bincount(self.counts)
         self.histogram: dict[int, int] = {int(s): int(c) for s, c in enumerate(freq) if c}
-        self.lines_examined: int = plane.size
         self._witnesses: dict[int, list[tuple[int, tuple[int, ...]]]] | None = None
 
     @property
@@ -82,9 +86,6 @@ class IntersectionCensus:
                 pts = rows[in_set[rows]].reshape(lines.size, size)
                 self._witnesses[size] = list(zip(lines.tolist(), map(tuple, pts.tolist())))
         return self._witnesses
-
-    def support(self) -> set[int]:
-        return {size for size, count in self.histogram.items() if count}
 
     def as_json_dict(self, base: PointId | None = None) -> dict:
         plane = self.plane
@@ -197,12 +198,14 @@ def foot_unital_r(U: UnitalModel, lam: int, x: int) -> int:
 
 
 def feet_closed_form(U: UnitalModel, lam: int) -> PedalSet:
-    """Canonical-frame pedal via the closed form Q_x = [x, T(alpha*x^2) - lam*e, 1];
-    every foot must be a unital point."""
+    """Canonical-frame pedal via the closed form Q_x = [x, T(alpha*x^2) - lam*e, 1],
+    with its parameters grouped into trace classes; every foot must be a
+    unital point."""
     _require_nonclassical(U)
     ctx, plane = U.ctx, U.plane
     xs = foot_parameters(U, lam)
-    y = ctx.add_t[trace_value(U, xs), ctx.neg(ctx.pack(0, lam))]
+    traces = trace_value(U, xs)
+    y = ctx.add_t[traces, ctx.neg(ctx.pack(0, lam))]
     ids = plane.point_ids_vec(xs, y, np.ones_like(xs))
     if not bool(np.all(U.mask[ids])):
         raise InternalConsistencyError("closed-form feet are not all unital points")
@@ -212,6 +215,7 @@ def feet_closed_form(U: UnitalModel, lam: int) -> PedalSet:
         lam=lam,
         foot_params=tuple(xs.tolist()),
         param_point=dict(zip(xs.tolist(), ids.tolist())),
+        trace_classes={int(t): tuple(xs[traces == t].tolist()) for t in np.unique(traces)},
     )
 
 
@@ -226,8 +230,8 @@ def line_pedal_census(U: UnitalModel, pedal: PedalSet) -> IntersectionCensus:
     if U.plane.incident(pedal.base, U.infinity_line):
         raise ValueError("census base point must not lie on the line at infinity")
     census = IntersectionCensus(U.plane, pedal.feet)
-    if not census.support() <= {0, 1, 2, 4}:
-        bad = sorted(census.support() - {0, 1, 2, 4})
+    bad = sorted(set(census.histogram) - {0, 1, 2, 4})
+    if bad:
         raise TheoremViolation(f"pedal census support contains {bad}; expected within 0,1,2,4")
     return census
 
@@ -249,47 +253,25 @@ def trace_level_line(U: UnitalModel, lam: int, x: int) -> LineId:
     return U.plane.line_id(0, ctx.neg(1), c)
 
 
-def trace_classes(U: UnitalModel, lam: int, params=None) -> dict[int, tuple[int, ...]]:
-    """Partition of the foot parameters by the value T(alpha*x^2).
+def same_trace_solutions(U: UnitalModel, pedal: PedalSet) -> dict[int, tuple[int, ...]]:
+    """Check every trace class of a canonical pedal against the pair of
+    GF(q)-coefficient quadratics in (z1, z2) obtained by splitting
+    z = z1 + e*z2:
 
-    ``params`` are the foot parameters when the caller already holds them
-    (a canonical pedal's ``foot_params``); by default they are solved for.
+        A z1^2 + B z2^2 + C z1 z2 + D = 0
+        E z1^2 + F z2^2 + G z1 z2 + H = 0
+
+    with A = a1, B = a1 w, C = 2 a2 w, D = -t/2 for the class's trace value t,
+    E = a2 + b2, F = w (a2 - b2), G = 2 a1, H = lam,
+    for alpha = a1 + e*a2 and beta = b1 + e*b2.  (F follows from dividing
+    2 lam e + 2 e Im(alpha z^2) + (beta - conj(beta)) N(z) = 0 by 2e.)
+
+    The solutions for each t must be exactly that class; returns the classes.
     """
+    if pedal.trace_classes is None:
+        raise ValueError("same_trace_solutions needs a canonical pedal, with its trace classes")
     _require_nonclassical(U)
-    xs = foot_parameters(U, lam) if params is None else np.asarray(params, dtype=np.int32)
-    classes: dict[int, list[int]] = {}
-    for x, t in zip(xs, trace_value(U, xs)):
-        classes.setdefault(int(t), []).append(int(x))
-    return {t: tuple(sorted(v)) for t, v in sorted(classes.items())}
-
-
-def same_trace_solutions(U: UnitalModel, lam: int, x: int) -> tuple[int, ...]:
-    """All z with T(alpha*z^2) = T(alpha*x^2) and z a foot parameter,
-    computed two independent ways:
-
-    * the trace class of x among the foot parameters (:func:`trace_classes`), and
-    * the pair of GF(q)-coefficient quadratics in (z1, z2) obtained by
-      splitting z = z1 + e*z2:
-
-          A z1^2 + B z2^2 + C z1 z2 + D = 0
-          E z1^2 + F z2^2 + G z1 z2 + H = 0
-
-      with A = a1, B = a1 w, C = 2 a2 w, D = -T(alpha x^2)/2,
-      E = a2 + b2, F = w (a2 - b2), G = 2 a1, H = lam,
-      for alpha = a1 + e*a2 and beta = b1 + e*b2.  (F follows from dividing
-      2 lam e + 2 e Im(alpha z^2) + (beta - conj(beta)) N(z) = 0 by 2e.)
-
-    The two routes must agree exactly.
-    """
-    _require_nonclassical(U)
-    _check_lambda(U, lam)
     ctx = U.ctx
-    params = foot_parameters(U, lam)
-    if x not in set(int(v) for v in params):
-        raise ValueError(f"x = {ctx.format_fq2(x)} is not a foot parameter")
-    target = trace_value(U, x)
-    direct = trace_classes(U, lam, params)[int(target)]
-
     qa, qm = ctx.qadd_t, ctx.qmul_t
     a1, a2 = ctx.unpack(U.params.alpha)
     b2 = ctx.im(U.params.beta)
@@ -297,25 +279,23 @@ def same_trace_solutions(U: UnitalModel, lam: int, x: int) -> tuple[int, ...]:
     A = a1
     B = ctx.qmul(a1, w)
     C = ctx.qmul(two, ctx.qmul(a2, w))
-    D = ctx.qneg(ctx.qdiv(target, two))
     E = ctx.qadd(a2, b2)
     F = ctx.qmul(w, ctx.qsub(a2, b2))
     G = ctx.qmul(two, a1)
-    H = lam
+    H = pedal.lam
     z1 = np.arange(ctx.q, dtype=np.int32)[:, None]
     z2 = np.arange(ctx.q, dtype=np.int32)[None, :]
     sq1, sq2, cross = qm[z1, z1], qm[z2, z2], qm[z1, z2]
-    eq1 = qa[qa[qa[qm[A, sq1], qm[B, sq2]], qm[C, cross]], D]
-    eq2 = qa[qa[qa[qm[E, sq1], qm[F, sq2]], qm[G, cross]], H]
-    hit1, hit2 = np.nonzero((eq1 == 0) & (eq2 == 0))
-    system = np.sort(hit1 + ctx.q * hit2)
-
-    if not np.array_equal(direct, system):
-        raise InternalConsistencyError(
-            "GF(q)-coordinate quadratic system disagrees with the trace class "
-            f"for x = {ctx.format_fq2(x)}"
-        )
-    return direct
+    quad1 = qa[qa[qm[A, sq1], qm[B, sq2]], qm[C, cross]]
+    on2 = qa[qa[qa[qm[E, sq1], qm[F, sq2]], qm[G, cross]], H] == 0
+    for t, cls in pedal.trace_classes.items():
+        D = ctx.qneg(ctx.qdiv(t, two))
+        hit1, hit2 = np.nonzero((qa[quad1, D] == 0) & on2)
+        if not np.array_equal(cls, np.sort(hit1 + ctx.q * hit2)):
+            raise InternalConsistencyError(
+                f"GF(q)-coordinate quadratic system disagrees with the trace class of {t}"
+            )
+    return pedal.trace_classes
 
 
 # -- two-arc partition ----------------------------------------------------------
@@ -327,8 +307,8 @@ def two_arc_partition(U: UnitalModel, pedal: PedalSet) -> tuple[tuple[int, ...],
     Canonical frame: each line through [1,0,0] meets the pedal in the feet of
     one trace class (2 or 4 of them, closed under x -> -x).  Classes of size
     two go wholly into the first part; a size-four class {u, -u, v, -v}
-    contributes the sign pair with the smaller minimum code to the first part
-    and the other pair to the second.  Both parts are then re-checked for
+    contributes the sign pair of its smallest code to the first part and the
+    other pair to the second.  Both parts are then re-checked for
     three collinear points exhaustively.
 
     A pedal without canonical data takes its 4-point lines from the census
@@ -338,27 +318,23 @@ def two_arc_partition(U: UnitalModel, pedal: PedalSet) -> tuple[tuple[int, ...],
     plane = U.plane
     part1: list[int] = []
     part2: list[int] = []
-    if pedal.lam is not None:
-        for _, cls in trace_classes(U, pedal.lam, pedal.foot_params).items():
-            pts = {x: pedal.param_point[x] for x in cls}
+    if pedal.trace_classes is not None:
+        neg, point = U.ctx.neg, pedal.param_point
+        for cls in pedal.trace_classes.values():
             if len(cls) == 2:
-                part1.extend(pts.values())
+                part1.extend(point[x] for x in cls)
             elif len(cls) == 4:
-                ctx = U.ctx
-                pairs = {}
-                for x in cls:
-                    key = min(x, ctx.neg(x))
-                    pairs.setdefault(key, []).append(pts[x])
-                keys = sorted(pairs)
-                if len(keys) != 2 or any(len(v) != 2 for v in pairs.values()):
+                first = {cls[0], neg(cls[0])}
+                second = set(cls) - first
+                if len(second) != 2 or {neg(x) for x in second} != second:
                     raise TheoremViolation("size-4 trace class is not two sign pairs")
-                part1.extend(pairs[keys[0]])
-                part2.extend(pairs[keys[1]])
+                part1.extend(point[x] for x in first)
+                part2.extend(point[x] for x in second)
             else:
                 raise TheoremViolation(f"trace class of size {len(cls)}; expected 2 or 4")
     else:
         census = IntersectionCensus(plane, pedal.feet)
-        bad = sorted(size for size in census.support() if size == 3 or size > 4)
+        bad = sorted(size for size in census.histogram if size == 3 or size > 4)
         if bad:
             raise TheoremViolation(f"line meets pedal in {bad[0]} points")
         covered: set[int] = set()

@@ -20,13 +20,11 @@ from unital_lab import (
     feet_closed_form,
     feet_of,
     feet_of_many,
-    foot_parameters,
     line_pedal_census,
     orbit_of_pedal,
     partition_lines_for_orbit,
     same_trace_solutions,
     secant_partition,
-    trace_value,
     two_arc_partition,
     valid_parameter_pairs,
     validate_params,
@@ -289,25 +287,33 @@ def test_criterion_08_two_arc_theorem():
                 ok = ok and not plane.has_three_collinear(part2)
                 if params.beta_real:
                     census = line_pedal_census(model, pedal)
-                    ok = ok and census.support() <= {0, 1, 2}
+                    ok = ok and set(census.histogram) <= {0, 1, 2}
                     ok = ok and not plane.has_three_collinear(pedal.feet)
     _report(8, "two-arc partition (and single arc when beta is real), q <= 9", ok)
 
 
 def test_criterion_09_quadratic_system_consistency():
-    """The GF(q)-coordinate quadratic-pair evaluation matches direct exhaustive
-    solving for every foot parameter, every nonclassical valid tuple, both lam,
-    q <= 9; every solution-set size is 2 or 4."""
+    """For every nonclassical valid tuple, both lam, q <= 9: the GF(q)-coordinate
+    quadratic system, solved once per trace value, gives exactly each trace
+    class of the canonical pedal; every class has 2 or 4 members; and the
+    classes, mapped to their feet, are the brute-force oracle's feet grouped
+    by their line through [1, 0, 0]."""
     ok = True
     for q in MID_Q:
         ctx, plane = get_geometry(*PN_BY_Q[q])
+        corner = plane.point_id(1, 0, 0)
         for params in _nonclassical(ctx):
             model = build_obm_unital(ctx, plane, params)
             for lam in (1, ctx.w):
-                for x in foot_parameters(model, lam):
-                    sols = same_trace_solutions(model, lam, int(x))  # raises on mismatch
-                    ok = ok and len(sols) in (2, 4)
-    _report(9, "quadratic-system route = direct solving, sizes in {2,4}, q <= 9", ok)
+                pedal = feet_closed_form(model, lam)
+                classes = same_trace_solutions(model, pedal)  # raises on mismatch
+                ok = ok and all(len(cls) in (2, 4) for cls in classes.values())
+                by_line = {}
+                for foot in brute_feet(model, pedal.base):
+                    by_line.setdefault(plane.join(corner, foot), set()).add(foot)
+                mapped = {frozenset(pedal.param_point[x] for x in cls) for cls in classes.values()}
+                ok = ok and mapped == {frozenset(feet) for feet in by_line.values()}
+    _report(9, "quadratic system = trace classes = oracle feet per line via [1,0,0], q <= 9", ok)
 
 
 def test_criterion_10_secant_partition():

@@ -9,7 +9,9 @@ from unital_lab import (
     InternalConsistencyError,
     StructuralViolation,
     TheoremViolation,
+    canonical_base_point,
     cli,
+    validate_params,
 )
 
 from conftest import swapped_for_external
@@ -355,6 +357,12 @@ def test_out_write_error_is_one_error_line(tmp_path, capsys):
     assert str(tmp_path) in err  # open() on a directory raises IsADirectoryError
 
 
+def test_census_of_a_classical_unital_is_a_usage_error(capsys):
+    census = ["census", "--p", "3", "--alpha", "0", "--beta", "e", "--lambda", "1"]
+    err = _refused(census, capsys)
+    assert "this operation requires an OBM unital with alpha != 0" in err
+
+
 def test_scan_of_a_named_pair_that_is_no_unital_is_a_usage_error(capsys):
     scan = ["scan", "--p", "3", "--problem", "conics"]
     err = _refused([*scan, "--alpha", "1", "--beta", "1"], capsys)
@@ -529,6 +537,23 @@ def test_verify_record_of_corrupted_model_fails_its_checks(monkeypatch):
         "attains_bound": True,
         "tangent_formula_matches_oracle": False,
     }
+
+
+def test_four_lines_fails_a_tuple_whose_canonical_base_is_not_scanned(monkeypatch):
+    real = cli._scan_bases
+
+    def bases_without_lambda_1(model):
+        bases = real(model)
+        return bases[bases != canonical_base_point(model, 1)]
+
+    monkeypatch.setattr(cli, "_scan_bases", bases_without_lambda_1)
+    cli._context(3, 1, None)
+    ctx = cli._WORKER["ctx"]
+    (rec,) = cli._scan_tuple("four-lines", validate_params(ctx, ctx.pack(1, 1), 0))
+    assert rec["status"] == "fail" and rec["check"] == "four-lines"
+    assert rec["error"] == (
+        "InternalConsistencyError: a canonical base is not among the scanned bases"
+    )
 
 
 def test_scan_records_an_inconsistent_tuple_and_goes_on(capsys, monkeypatch):

@@ -64,6 +64,10 @@ GOLDEN = {
         "0a1647379198f1a054bb78991bc877e06e0e82cc7bcba996dbe039f6ecf3bdaa",
     "scan --p 5 --n 1 --alpha 1 --problem incidence-structure":
         "3e0283468b76fd1fe25d47a4e749aa36fb0654cd99ac9a716049109f1e805b24",
+    # every external point off the line at infinity (q <= 5); argv and digest
+    # as in perfbench/golden.json.
+    "scan --p 5 --n 1 --problem four-lines --alpha 1+e --format json --jobs 1":
+        "af56cf43771ba21cf0a08967560553bf79ac2c145860d411cbe0769aae7446b2",
     # q > 5: canonical-plus-translates bases and sampled secants (q = 9), and
     # verify at q = 13; argv and digests as in perfbench/golden.json.
     "scan --p 3 --n 2 --problem four-lines --alpha 1+e --format json --jobs 1":

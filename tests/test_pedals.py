@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from itertools import combinations
 
@@ -7,6 +8,8 @@ import pytest
 from unital_lab import (
     DegenerateConfiguration,
     DegenerateInput,
+    InternalConsistencyError,
+    TheoremViolation,
     arc_in_conic,
     build_hermitian,
     build_obm_unital,
@@ -22,7 +25,6 @@ from unital_lab import (
     same_trace_solutions,
     secant_partition,
     secant_partitions,
-    trace_classes,
     trace_level_line,
     trace_value,
     two_arc_partition,
@@ -186,7 +188,7 @@ def test_census_support_and_corner_structure(q):
         closed = feet_closed_form(model, lam)
         census = line_pedal_census(model, closed)
         assert sum(census.histogram.values()) == plane.size
-        assert census.support() <= {0, 1, 2, 4}
+        assert set(census.histogram) <= {0, 1, 2, 4}
         corner = plane.point_id(1, 0, 0)
         feet_set = set(closed.feet)
         for lid, pts in census.witnesses.get(4, []):
@@ -212,7 +214,7 @@ def test_beta_real_census_support_012(q3_model):
     assert model.params.beta_real
     for lam in (1, ctx.w):
         census = line_pedal_census(model, feet_closed_form(model, lam))
-        assert census.support() <= {0, 1, 2}
+        assert set(census.histogram) <= {0, 1, 2}
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -240,7 +242,7 @@ def test_size4_lines_exist_at_q5_beta_complex(q5_model):
     hit = False
     for lam in (1, ctx.w):
         census = line_pedal_census(model, feet_closed_form(model, lam))
-        hit = hit or 4 in census.support()
+        hit = hit or 4 in census.histogram
     assert hit  # evidence row for the four-lines question
 
 
@@ -251,11 +253,14 @@ def test_size4_lines_exist_at_q5_beta_complex(q5_model):
 def test_trace_class_structure(q):
     for ctx, plane, model, lam in all_lambda_pedals(q):
         closed = feet_closed_form(model, lam)
-        classes = trace_classes(model, lam)
-        assert sum(len(c) for c in classes.values()) == ctx.q + 1
+        classes = closed.trace_classes
+        assert sorted(x for c in classes.values() for x in c) == list(closed.foot_params)
+        assert list(classes) == sorted(classes)
         feet_set = set(closed.feet)
         for t, cls in classes.items():
             assert len(cls) in (2, 4)
+            assert list(cls) == sorted(cls)
+            assert all(int(trace_value(model, x)) == t for x in cls)
             # the joining line of the class carries exactly its feet
             lid = trace_level_line(model, lam, cls[0])
             on_line = {int(x) for x in plane.points_on(lid)}
@@ -331,11 +336,37 @@ def test_same_trace_solutions_dual_route(q):
         counts = np.bincount(
             plane.incidence[np.asarray(closed.feet)].ravel(), minlength=plane.size
         )
-        for x in closed.foot_params:
-            sols = same_trace_solutions(model, lam, x)  # raises if routes disagree
-            assert {x, ctx.neg(x)} <= set(sols)
-            assert len(sols) in (2, 4)
-            assert len(sols) == int(counts[trace_level_line(model, lam, x)])
+        classes = same_trace_solutions(model, closed)  # raises if routes disagree
+        assert classes == closed.trace_classes
+        for cls in classes.values():
+            assert {ctx.neg(x) for x in cls} == set(cls)
+            assert len(cls) in (2, 4)
+            assert len(cls) == int(counts[trace_level_line(model, lam, cls[0])])
+
+
+def _one_parameter_moved(pedal):
+    """The pedal with the largest x of its first trace class moved into its
+    second class."""
+    (t1, c1), (t2, c2) = list(pedal.trace_classes.items())[:2]
+    classes = {**pedal.trace_classes, t1: c1[:-1], t2: tuple(sorted(c2 + c1[-1:]))}
+    return dataclasses.replace(pedal, trace_classes=classes)
+
+
+def test_a_corrupted_trace_class_is_caught(q5_model):
+    ctx, plane, model = q5_model
+    for lam in (1, ctx.w):
+        corrupted = _one_parameter_moved(feet_closed_form(model, lam))
+        with pytest.raises(InternalConsistencyError, match="quadratic system"):
+            same_trace_solutions(model, corrupted)
+        with pytest.raises(TheoremViolation, match="trace class of size"):
+            two_arc_partition(model, corrupted)
+
+
+def test_same_trace_solutions_needs_a_canonical_pedal(q5_model):
+    ctx, plane, model = q5_model
+    brute = feet_of(model, canonical_base_point(model, 1))
+    with pytest.raises(ValueError, match="canonical pedal"):
+        same_trace_solutions(model, brute)
 
 
 # -- two-arc partition -----------------------------------------------------------------
@@ -351,7 +382,7 @@ def test_two_arc_partition_canonical(q):
         assert not plane.has_three_collinear(a1)
         assert not plane.has_three_collinear(a2)
         census = line_pedal_census(model, closed)
-        if 4 not in census.support():
+        if 4 not in census.histogram:
             assert a2 == ()
             assert is_single_arc(model, closed)
         else:
