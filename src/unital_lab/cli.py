@@ -1,15 +1,16 @@
 """``unital-lab``: parameter sweeps, per-theorem verification, pedal and orbit
 reports, and open-problem scanners.
 
-    unital-lab <verify|pedal|census|orbit|scan>
-        --p P --n N [--w W] [--alpha A] [--beta B] [--lambda {1,w}]
-        [--point X,Y,Z] [--problem NAME] [--format json|csv]
-        [--out PATH] [--jobs K]
+    unital-lab verify --p P [--n N] [--w W] [--alpha A] [--beta B] [--jobs K]
+    unital-lab scan   --p P [--n N] [--w W] [--alpha A] [--beta B] [--jobs K]
+                      --problem NAME
+    unital-lab pedal|census --p P [--n N] [--w W] --alpha A --beta B
+                      (--lambda {1,w} | --point X,Y,Z)
+    unital-lab orbit  --p P [--n N] [--w W] --alpha A --beta B --lambda {1,w}
 
-Element syntax: GF(q) values are decimal codes, GF(q^2) values ``A+e*B``.
-Every long flag can be defaulted through an environment variable prefixed
-``UNITAL_LAB_`` (for example ``UNITAL_LAB_JOBS=4``), checked like the flag
-itself; explicit flags win.
+Every command also takes ``[--format json|csv] [--out PATH]``; a flag the
+command does not take is an unrecognised argument.  Element syntax: GF(q)
+values are decimal codes, GF(q^2) values ``A+e*B``.
 
 Reports are deterministic: records are emitted in canonical parameter order
 and carry no timings (those go to stderr), so a sweep produces byte-identical
@@ -58,7 +59,6 @@ from .pedals import (
 from .plane import LineId, PointId, ProjectivePlane
 from .unitals import build_obm_unital, valid_parameter_pairs, validate_params
 
-ENV_PREFIX = "UNITAL_LAB_"
 # Sweep caps: exhaustive external-point work only at desk scale.
 FULL_POINT_SWEEP_MAX_Q = 5
 SECANT_SAMPLE = 200
@@ -174,11 +174,12 @@ def cmd_verify(args) -> tuple[dict, int]:
 # -- pedal / census / orbit --------------------------------------------------------
 
 
+def _lambdas(ctx) -> tuple[tuple[str, int], ...]:
+    """The one map between the --lambda labels and their GF(q) values."""
+    return (("1", 1), ("w", ctx.w))
+
+
 def _single_tuple(args):
-    if args.alpha is None or args.beta is None:
-        raise ParameterError(f"{args.command} requires --alpha and --beta")
-    if args.lam is not None and args.point is not None:
-        raise ParameterError("--lambda and --point each name the base point; give one")
     ctx, plane = _context(args.p, args.n, args.w)
     params = validate_params(ctx, ctx.parse_fq2(args.alpha), ctx.parse_fq2(args.beta))
     return ctx, plane, build_obm_unital(ctx, plane, params)
@@ -193,24 +194,19 @@ def _single_report(args, ctx, model, fields: dict) -> tuple[dict, int]:
 
 
 def _resolve_base(ctx, plane, model, args):
-    """(base point id, lam or None) from --lambda / --point."""
+    """(base point id, its (label, lambda) or None) from --lambda / --point."""
     if args.lam is not None:
-        lam = 1 if args.lam == "1" else ctx.w
-        return canonical_base_point(model, lam), lam
-    if args.point is None:
-        raise ParameterError(f"{args.command} requires --lambda or --point")
+        lam = dict(_lambdas(ctx))[args.lam]
+        return canonical_base_point(model, lam), (args.lam, lam)
     base = plane.parse_point(args.point)
     if base in model:
         raise ParameterError(
             f"point {plane.format_point(base)} lies on the unital; pedals are "
             "defined for external points"
         )
-    lam = None
     # a --point naming the canonical base still gets the closed-form frame
-    for cand in (1, ctx.w):
-        if base == canonical_base_point(model, cand):
-            lam = cand
-    return base, lam
+    frames = (frame for frame in _lambdas(ctx) if base == canonical_base_point(model, frame[1]))
+    return base, next(frames, None)
 
 
 def _arc_report(model, pedal) -> dict:
@@ -227,18 +223,19 @@ def _arc_report(model, pedal) -> dict:
     }
 
 
-def _pedal_payload(ctx, plane, model, base, lam) -> dict:
+def _pedal_payload(ctx, plane, model, base, frame) -> dict:
     rec: dict = {"base_point": plane.format_point(base)}
     brute = feet_of(model, base)
     rec["feet"] = [plane.format_point(PointId(f)) for f in brute.feet]
     rec["collinear"] = plane.collinear(brute.feet)
     pedal = brute
-    if lam is not None and not model.params.classical:
+    if frame is not None and not model.params.classical:
+        label, lam = frame
         closed = feet_closed_form(model, lam)
         if closed.feet != brute.feet:
             raise InternalConsistencyError("closed-form feet differ from brute-force feet")
         pedal = closed
-        rec["lambda"] = "1" if lam == 1 else "w"
+        rec["lambda"] = label
         rec["foot_params"] = [ctx.format_fq2(x) for x in closed.foot_params]
         rec["trace_classes"] = {
             str(t): [ctx.format_fq2(x) for x in cls] for t, cls in closed.trace_classes.items()
@@ -253,8 +250,8 @@ def _pedal_payload(ctx, plane, model, base, lam) -> dict:
 
 def cmd_pedal(args) -> tuple[dict, int]:
     ctx, plane, model = _single_tuple(args)
-    base, lam = _resolve_base(ctx, plane, model, args)
-    return _single_report(args, ctx, model, _pedal_payload(ctx, plane, model, base, lam))
+    base, frame = _resolve_base(ctx, plane, model, args)
+    return _single_report(args, ctx, model, _pedal_payload(ctx, plane, model, base, frame))
 
 
 def cmd_census(args) -> tuple[dict, int]:
@@ -266,9 +263,7 @@ def cmd_census(args) -> tuple[dict, int]:
 
 def cmd_orbit(args) -> tuple[dict, int]:
     ctx, plane, model = _single_tuple(args)
-    if args.lam is None:
-        raise ParameterError("orbit requires --lambda (canonical frame)")
-    lam = 1 if args.lam == "1" else ctx.w
+    lam = dict(_lambdas(ctx))[args.lam]
     orbit = orbit_of_pedal(model, feet_closed_form(model, lam))
     lines = partition_lines_for_orbit(model, orbit)
     census = orbit_line_census(model, orbit)
@@ -300,16 +295,12 @@ def _scan_bases(model) -> np.ndarray:
         return all_ids[~model.mask & ~on_linf]
     group = ElationGroup(model)
     ts = np.arange(group.order, dtype=np.int32)[:, None]
-    canonical = [canonical_base_point(model, lam) for lam in (1, ctx.w)]
+    canonical = [canonical_base_point(model, lam) for _, lam in _lambdas(ctx)]
     return np.unique(group.apply_points(ts, canonical))
 
 
 # A scan maps a model to its list of record fields: one per lambda (1, then
 # w) for the lambda-split problems, else one.
-
-
-def _lambdas(ctx) -> tuple[tuple[str, int], ...]:
-    return (("1", 1), ("w", ctx.w))
 
 
 def _scan_four_lines(model) -> list:
@@ -405,8 +396,6 @@ def _scan_tuple(problem: str, params) -> list:
 
 
 def cmd_scan(args) -> tuple[dict, int]:
-    if args.problem is None:
-        raise ParameterError("scan requires --problem")
     ctx, _ = _context(args.p, args.n, args.w)
     alpha = None if args.alpha is None else ctx.parse_fq2(args.alpha)
     beta = None if args.beta is None else ctx.parse_fq2(args.beta)
@@ -423,6 +412,7 @@ def cmd_scan(args) -> tuple[dict, int]:
 
 
 def _report_envelope(command: str, ctx, args, records, summary) -> dict:
+    flag = vars(args).get  # a flag the command does not take reads null
     return {
         "tool": {"name": "unital-lab", "version": __version__},
         "command": command,
@@ -431,11 +421,11 @@ def _report_envelope(command: str, ctx, args, records, summary) -> dict:
             "n": ctx.n,
             "w": ctx.w,
             "q": ctx.q,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "lambda": args.lam,
-            "point": args.point,
-            "problem": args.problem,
+            "alpha": flag("alpha"),
+            "beta": flag("beta"),
+            "lambda": flag("lam"),
+            "point": flag("point"),
+            "problem": flag("problem"),
         },
         "records": records,
         "summary": summary,
@@ -492,23 +482,8 @@ _COMMANDS = {
 
 # -- entry point -------------------------------------------------------------------
 
-# Every command takes these flags; UNITAL_LAB_<FLAG> (upper case, from the
-# option string) supplies a default for each.
-_FLAGS = (
-    ("--p", {"type": int, "required": True, "help": "odd prime"}),
-    ("--n", {"type": int, "default": 1, "help": "tower degree, q = p^n"}),
-    ("--w", {"type": int, "help": "non-square override for GF(q)"}),
-    ("--alpha", {"help": "GF(q^2) element A+e*B"}),
-    ("--beta", {"help": "GF(q^2) element A+e*B"}),
-    ("--lambda", {
-        "dest": "lam", "choices": ("1", "w"), "help": "canonical base point [0, lambda*e, 1]",
-    }),
-    ("--point", {"help": "base point X,Y,Z"}),
-    ("--problem", {"choices": tuple(_SCANS)}),
-    ("--format", {"dest": "fmt", "choices": ("json", "csv"), "default": "json"}),
-    ("--out", {"help": "output path (default stdout)"}),
-    ("--jobs", {"type": int, "default": 1, "help": "worker count (below 1 means 1)"}),
-)
+_ELEMENT = "GF(q^2) element A+e*B"
+_LAMBDA = {"dest": "lam", "choices": ("1", "w"), "help": "canonical base point [0, lambda*e, 1]"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -519,6 +494,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """One subparser per command, declaring exactly the flags it reads."""
     parser = _Parser(prog="unital-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, blurb in (
@@ -528,47 +504,41 @@ def _build_parser() -> _Parser:
         ("orbit", "elation orbit of a canonical pedal, partition lines, census"),
         ("scan", "open-problem scanners over all valid parameter pairs"),
     ):
-        # no abbreviations: _with_env_flags recognises each flag by its full spelling
-        cmd = sub.add_parser(name, help=blurb, allow_abbrev=False)
-        for option, settings in _FLAGS:
-            cmd.add_argument(option, **settings)
+        sweep = name in ("verify", "scan")
+        cmd = sub.add_parser(name, help=blurb, allow_abbrev=False)  # one spelling per flag
+        cmd.add_argument("--p", type=int, required=True, help="odd prime")
+        cmd.add_argument("--n", type=int, default=1, help="tower degree, q = p^n")
+        cmd.add_argument("--w", type=int, help="non-square override for GF(q)")
+        cmd.add_argument("--alpha", required=not sweep, help=_ELEMENT)
+        cmd.add_argument("--beta", required=not sweep, help=_ELEMENT)
+        if sweep:
+            cmd.add_argument("--jobs", type=int, default=1, help="worker count (below 1 means 1)")
+        if name == "scan":
+            cmd.add_argument("--problem", required=True, choices=tuple(_SCANS))
+        if name == "orbit":
+            cmd.add_argument("--lambda", required=True, **_LAMBDA)
+        elif not sweep:
+            base = cmd.add_mutually_exclusive_group(required=True)
+            base.add_argument("--lambda", **_LAMBDA)
+            base.add_argument("--point", help="base point X,Y,Z")
+        cmd.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+        cmd.add_argument("--out", help="output path (default stdout)")
     return parser
 
 
 _PARSER = _build_parser()
 
 
-def _with_env_flags(argv: list[str]) -> list[str]:
-    """argv with each set UNITAL_LAB_<FLAG> put right after the command as
-    ``--<flag>=<value>``, so an explicit flag, coming later, wins; the
-    variable of --lambda or --point is dropped when the other flag is on the
-    command line.  Each value is first parsed alone, by the flag's own type
-    and choices, as an argument named after its variable, so a bad one is
-    reported under that name."""
-    if not argv or argv[0] not in _COMMANDS:
-        return argv
-    given = {token.split("=")[0] for token in argv[1:]}
-    rival = {"--lambda": "--point", "--point": "--lambda"}
-    env = []
-    for option, settings in _FLAGS:
-        name = ENV_PREFIX + option[2:].upper()
-        value = os.environ.get(name)
-        if value is not None and rival.get(option) not in given:
-            check = _Parser(prog=f"unital-lab {argv[0]}", usage=argparse.SUPPRESS, add_help=False)
-            check.add_argument(name, type=settings.get("type"), choices=settings.get("choices"))
-            check.parse_args(["--", value])
-            env.append(f"{option}={value}")
-    return [argv[0], *env, *argv[1:]]
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _PARSER.parse_args(_with_env_flags(argv))
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
+        if args.out and os.path.isdir(args.out):
+            raise ParameterError(f"--out {args.out}: is a directory")
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ParameterError(f"--out {args.out}: its directory does not exist")
         report, code = _COMMANDS[args.command](args)

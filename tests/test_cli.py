@@ -231,72 +231,10 @@ def test_w_override(capsys):
     assert [r["w"] for r in fresh["records"]] == [3]
 
 
-def test_env_variable_defaults(capsys, monkeypatch):
-    monkeypatch.setenv("UNITAL_LAB_FORMAT", "csv")
-    monkeypatch.setenv("UNITAL_LAB_P", "3")
-    code, out = run_cli(["verify", "--alpha", "1+e", "--beta", "0"], capsys)
-    assert code == 0
-    header = out.splitlines()[0]
-    assert header.startswith("alpha,") and "checks.blocking" in header
-    # explicit flag beats the environment
-    monkeypatch.setenv("UNITAL_LAB_FORMAT", "csv")
-    code2, out2 = run_cli(
-        ["verify", "--p", "3", "--alpha", "1+e", "--beta", "0", "--format", "json"], capsys
-    )
-    assert code2 == 0 and out2.lstrip().startswith("{")
-
-
-def test_env_defaults_read_on_every_call(capsys, monkeypatch):
-    # one parser serves the whole process, so the environment is read per call
-    args = ["verify", "--p", "3", "--alpha", "1+e", "--beta", "0"]
-    monkeypatch.delenv("UNITAL_LAB_FORMAT", raising=False)
-    code, out = run_cli(args, capsys)
-    assert code == 0 and out.lstrip().startswith("{")
-    monkeypatch.setenv("UNITAL_LAB_FORMAT", "csv")
-    code, out = run_cli(args, capsys)
-    assert code == 0 and out.startswith("alpha,")
-    code, out = run_cli([*args, "--format", "json"], capsys)
-    assert code == 0 and out.lstrip().startswith("{")
-
-
-@pytest.mark.parametrize(
-    "name, value, args",
-    [
-        ("LAMBDA", "x", ["pedal", "--p", "3", "--alpha", "1+e", "--beta", "0"]),
-        ("FORMAT", "xml", ["verify", "--p", "3", "--alpha", "1+e", "--beta", "0"]),
-        ("PROBLEM", "bogus", ["scan", "--p", "3"]),
-        ("JOBS", "abc", ["verify", "--p", "3", "--alpha", "1+e", "--beta", "0"]),
-        ("P", "three", ["verify", "--alpha", "1+e", "--beta", "0"]),
-    ],
-)
-def test_env_values_are_checked_like_flags(name, value, args, capsys, monkeypatch):
-    monkeypatch.setenv(f"UNITAL_LAB_{name}", value)
-    code = cli.main(args)
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert "invalid" in captured.err and repr(value) in captured.err
-    assert f"UNITAL_LAB_{name}" in captured.err
-
-
 def test_bad_typed_flag_is_reported_under_its_flag(capsys):
     code = cli.main(["verify", "--p", "3", "--alpha", "1+e", "--beta", "0", "--jobs", "abc"])
     err = capsys.readouterr().err
     assert code == 1 and "argument --jobs: invalid int value: 'abc'" in err
-    assert "UNITAL_LAB" not in err
-
-
-def test_explicit_flag_overrides_invalid_or_valid_env(capsys, monkeypatch):
-    pedal = ["pedal", "--p", "3", "--alpha", "1+e", "--beta", "0"]
-    _, reference = run_json([*pedal, "--lambda", "w"], capsys)
-    monkeypatch.setenv("UNITAL_LAB_LAMBDA", "1")
-    code, report = run_json([*pedal, "--lambda", "w"], capsys)
-    assert code == 0 and report == reference
-    monkeypatch.setenv("UNITAL_LAB_LAMBDA", "x")  # argparse checks the env value first
-    assert run_cli([*pedal, "--lambda", "w"], capsys)[0] == 1
-    monkeypatch.setenv("UNITAL_LAB_JOBS", "0")  # below 1 means 1
-    monkeypatch.setenv("UNITAL_LAB_LAMBDA", "w")
-    code, report = run_json(pedal, capsys)
-    assert code == 0 and report == reference
 
 
 def test_commands_share_one_context(capsys):
@@ -329,6 +267,28 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["summary"]["pass"] == 1
 
 
+def _usage_error(args, capsys) -> str:
+    """The stderr of a call that argparse refuses: exit 1, no report, a usage
+    line and then one error line."""
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: unital-lab") and lines[-1].startswith("unital-lab")
+    assert ": error: " in lines[-1] and captured.err.count(": error: ") == 1
+    return lines[-1]
+
+
+@pytest.fixture
+def no_context(monkeypatch):
+    """Fails the call if it builds the field and the plane."""
+
+    def refuse(*_):
+        raise AssertionError("the context was built")
+
+    monkeypatch.setattr(cli, "_context", refuse)
+
+
 def _refused(args, capsys) -> str:
     """The stderr of a call that must exit 1 with one error line and no report."""
     code = cli.main(args)
@@ -338,23 +298,28 @@ def _refused(args, capsys) -> str:
     return captured.err
 
 
-def test_out_in_a_missing_directory_fails_before_any_work(tmp_path, capsys, monkeypatch):
+def test_out_in_a_missing_directory_fails_before_any_work(tmp_path, capsys, no_context):
     target = tmp_path / "missing" / "r.json"
-
-    def no_context(*_):
-        raise AssertionError("the context was built")
-
-    monkeypatch.setattr(cli, "_context", no_context)
     verify = ["verify", "--p", "3", "--alpha", "1", "--beta", "0"]
     err = _refused([*verify, "--out", str(target)], capsys)
     assert str(target) in err and "Traceback" not in err
     assert not target.parent.exists()
 
 
-def test_out_write_error_is_one_error_line(tmp_path, capsys):
+def test_out_naming_a_directory_fails_before_any_work(tmp_path, capsys, no_context):
+    err = _refused(["verify", "--p", "3", "--n", "2", "--out", str(tmp_path)], capsys)
+    assert f"--out {tmp_path}: is a directory" in err
+
+
+def test_out_write_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def unwritable(path, *_, **__):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", unwritable, raising=False)
     verify = ["verify", "--p", "3", "--alpha", "1+e", "--beta", "0"]
-    err = _refused([*verify, "--out", str(tmp_path)], capsys)
-    assert str(tmp_path) in err  # open() on a directory raises IsADirectoryError
+    target = tmp_path / "r.json"
+    err = _refused([*verify, "--out", str(target)], capsys)
+    assert f"--out {target}: Permission denied" in err
 
 
 def test_census_of_a_classical_unital_is_a_usage_error(capsys):
@@ -383,36 +348,47 @@ def test_scan_of_rows_without_a_nonclassical_unital_is_an_empty_report(args, cap
 @pytest.mark.parametrize("command", ["pedal", "census", "orbit"])
 def test_lambda_and_point_on_the_command_line_are_a_usage_error(command, capsys):
     args = [command, "--p", "3", "--alpha", "1+e", "--beta", "0", "--lambda", "1"]
-    err = _refused([*args, "--point", "1,1,1"], capsys)
-    assert "--lambda" in err and "--point" in err
+    err = _usage_error([*args, "--point", "1,1,1"], capsys)
+    if command == "orbit":  # orbit takes no --point
+        assert err.endswith("unrecognized arguments: --point 1,1,1")
+    else:
+        assert err.endswith("argument --point: not allowed with argument --lambda")
 
 
-def test_explicit_point_beats_lambda_from_the_environment(capsys, monkeypatch):
-    monkeypatch.setenv("UNITAL_LAB_LAMBDA", "1")
-    pedal = ["pedal", "--p", "3", "--alpha", "1+e", "--beta", "0", "--point", "1,1,1"]
-    code, report = run_json(pedal, capsys)
-    assert code == 0 and report["records"][0]["base_point"] == "[1,1,1]"
-    assert report["config"]["lambda"] is None
-
-
-def test_explicit_lambda_beats_point_from_the_environment(capsys, monkeypatch):
+def test_an_abbreviated_flag_is_unrecognised(capsys):
+    # argparse would read --form as --format; each flag has one spelling
     pedal = ["pedal", "--p", "3", "--alpha", "1+e", "--beta", "0", "--lambda", "1"]
-    _, reference = run_json(pedal, capsys)
-    monkeypatch.setenv("UNITAL_LAB_POINT", "1,1,1")
-    code, report = run_json(pedal, capsys)
-    assert code == 0 and report == reference
-    assert report["records"][0]["base_point"] == "[0,1,e*2]"
+    err = _usage_error([*pedal, "--form", "csv"], capsys)
+    assert err.endswith("unrecognized arguments: --form csv")
+    assert run_cli([*pedal, "--format", "csv"], capsys)[0] == 0
 
 
-def test_an_abbreviated_flag_is_unrecognised(capsys, monkeypatch):
-    # argparse would read --poi as --point, which the environment's --lambda
-    # does not know to yield to; each flag has one spelling
-    monkeypatch.setenv("UNITAL_LAB_LAMBDA", "1")
-    pedal = ["pedal", "--p", "3", "--alpha", "1+e", "--beta", "0"]
-    code = cli.main([*pedal, "--poi", "1,1,1"])
-    err = capsys.readouterr().err
-    assert code == 1 and "unrecognized arguments: --poi 1,1,1" in err
-    assert run_cli([*pedal, "--point", "1,1,1"], capsys)[0] == 0
+# A valid call of each command, the flags it does not take, and a value for each.
+_VALID_CALLS = {
+    "verify": ["verify", "--p", "3"],
+    "scan": ["scan", "--p", "3", "--problem", "conics"],
+    **{
+        name: [name, "--p", "3", "--alpha", "1+e", "--beta", "0", "--lambda", "1"]
+        for name in ("pedal", "census", "orbit")
+    },
+}
+# The 55 (command, flag) pairs less these 12 leave 43 that a command takes.
+_UNDECLARED = {
+    "verify": ("--lambda", "--point", "--problem"),
+    "scan": ("--lambda", "--point"),
+    "pedal": ("--problem", "--jobs"),
+    "census": ("--problem", "--jobs"),
+    "orbit": ("--point", "--problem", "--jobs"),
+}
+_FLAG_VALUES = {"--lambda": "1", "--point": "1,1,1", "--problem": "conics", "--jobs": "1"}
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(name, flag) for name, flags in _UNDECLARED.items() for flag in flags]
+)
+def test_a_flag_the_command_does_not_take_is_unrecognised(command, flag, capsys, no_context):
+    err = _usage_error([*_VALID_CALLS[command], flag, _FLAG_VALUES[flag]], capsys)
+    assert err.endswith(f"unrecognized arguments: {flag} {_FLAG_VALUES[flag]}")
 
 
 def test_reports_byte_identical_across_jobs(tmp_path, capsys):
