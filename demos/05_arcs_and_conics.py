@@ -6,6 +6,8 @@ the first part.  When beta is real the pedal is a single arc outright.
 For each arc one can ask whether some conic contains it.
 """
 
+import numpy as np
+
 from unital_lab import (
     ProjectivePlane,
     arc_in_conic,
@@ -44,11 +46,14 @@ for label, part in (("first", a1), ("second", a2)):
     verdict = fit.contained if fit.status == "ok" else fit.status
     print(f"  {label} arc ({len(part)} points) inside a conic: {verdict}")
 
-# Conic fitting itself: five points of the parabola y = x^2 pin down y*z = x^2.
+# Conic fitting itself: five points of the parabola y = x^2 pin down y*z = x^2,
+# an oval of q^2+1 points with no three collinear.
 pts = [plane5.point_id(t, ctx5.mul(t, t), 1) for t in range(5)]
 conic = conic_through(plane5, pts)
+on_conic = np.flatnonzero(conic.contains_points(plane5, np.arange(plane5.size)))
 print(f"\nconic through five parabola points: coefficients {conic.coeffs} "
-      f"(x^2 - y z), degenerate: {conic.is_degenerate(ctx5)}")
+      f"(x^2 - y z), {on_conic.size} points, "
+      f"three collinear: {plane5.has_three_collinear(on_conic)}")
 
 # Sweep all valid nonclassical tuples at q=3: every pedal is a single arc.
 single = all(

@@ -35,13 +35,10 @@ from .pedals import (
     feet_of,
     feet_of_many,
     foot_parameters,
-    foot_unital_r,
     is_single_arc,
     line_pedal_census,
     same_trace_solutions,
-    secant_partition,
     secant_partitions,
-    trace_level_line,
     trace_value,
     two_arc_partition,
 )
@@ -50,7 +47,6 @@ from .unitals import (
     BlockingReport,
     UnitalModel,
     UnitalParams,
-    build_hermitian,
     build_obm_unital,
     discriminant,
     valid_parameter_pairs,

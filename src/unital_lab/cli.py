@@ -493,8 +493,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser() -> _Parser:
-    """One subparser per command, declaring exactly the flags it reads."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and one subparser per command, declaring exactly
+    the flags that command reads."""
     parser = _Parser(prog="unital-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, blurb in (
@@ -523,16 +524,18 @@ def _build_parser() -> _Parser:
             base.add_argument("--point", help="base point X,Y,Z")
         cmd.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
         cmd.add_argument("--out", help="output path (default stdout)")
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMAND_PARSERS = _build_parser()
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _PARSER.parse_args(argv)
+        args, unknown = _PARSER.parse_known_args(argv)
+        if unknown:  # refused under the command's own usage line, not the top level's
+            _COMMAND_PARSERS[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.perf_counter()

@@ -36,7 +36,6 @@ class TheoremViolation(RuntimeError):
 
 class InternalConsistencyError(RuntimeError):
     """A closed form disagreed with the data it describes: canonical feet
-    off the unital or unequal to the brute-force feet, a foot's r outside
-    GF(q), or the GF(q)-coordinate quadratic system unequal to a trace
-    class.  Signals a formula bug; a sweep records it as the tuple's
-    ``fail`` record."""
+    off the unital or unequal to the brute-force feet, or the
+    GF(q)-coordinate quadratic system unequal to a trace class.  Signals a
+    formula bug; a sweep records it as the tuple's ``fail`` record."""

@@ -183,20 +183,6 @@ def foot_parameters(U: UnitalModel, lam: int) -> np.ndarray:
     return params
 
 
-def foot_unital_r(U: UnitalModel, lam: int, x: int) -> int:
-    """The r with Q_x = [x, alpha*x^2 + beta*N(x) + r, 1]:
-    r = lam*e + alpha*x^2 - conj(beta)*N(x), which lands in GF(q)."""
-    ctx = U.ctx
-    val = ctx.sub(
-        ctx.add(ctx.pack(0, lam), ctx.mul(U.params.alpha, ctx.mul(x, x))),
-        ctx.mul(ctx.conj(U.params.beta), ctx.norm(x)),
-    )
-    re, im = ctx.unpack(val)
-    if im != 0:
-        raise InternalConsistencyError(f"r parameter of foot x={x} is not in GF(q)")
-    return re
-
-
 def feet_closed_form(U: UnitalModel, lam: int) -> PedalSet:
     """Canonical-frame pedal via the closed form Q_x = [x, T(alpha*x^2) - lam*e, 1],
     with its parameters grouped into trace classes; every foot must be a
@@ -243,14 +229,6 @@ def trace_value(U: UnitalModel, x):
     """T(alpha * x^2) as GF(q) codes, for a code or an array of codes."""
     ctx = U.ctx
     return ctx.trace_t[ctx.mul_t[U.params.alpha, ctx.mul_t[x, x]]]
-
-
-def trace_level_line(U: UnitalModel, lam: int, x: int) -> LineId:
-    """The line [0, -1, T(alpha*x^2) - lam*e]^t joining Q_x and Q_{-x}; every
-    such line passes through [1, 0, 0]."""
-    ctx = U.ctx
-    c = ctx.sub(trace_value(U, x), ctx.pack(0, lam))
-    return U.plane.line_id(0, ctx.neg(1), c)
 
 
 def same_trace_solutions(U: UnitalModel, pedal: PedalSet) -> dict[int, tuple[int, ...]]:
@@ -378,23 +356,6 @@ class Conic:
             total = add[total, terms[:, col]]
         return total == 0
 
-    def contains(self, plane, point: PointId) -> bool:
-        return bool(self.contains_points(plane, [point])[0])
-
-    def matrix(self, ctx) -> list[list[int]]:
-        """The symmetric Gram matrix (valid since p is odd)."""
-        c0, c1, c2, c3, c4, c5 = self.coeffs
-        half = ctx.inv(ctx.scalar(2))
-        h3, h4, h5 = (ctx.mul(half, c) for c in (c3, c4, c5))
-        return [[c0, h3, h4], [h3, c1, h5], [h4, h5, c2]]
-
-    def rank(self, ctx) -> int:
-        return 3 - len(_gf_nullspace(ctx, self.matrix(ctx)))
-
-    def is_degenerate(self, ctx) -> bool:
-        """Rank < 3: the zero set contains a line (over the closure)."""
-        return self.rank(ctx) < 3
-
 
 def _gf_nullspace(ctx, rows) -> list[list[int]]:
     """Basis of the right nullspace of a small matrix over GF(q^2)."""
@@ -502,7 +463,7 @@ def secant_partitions(U: UnitalModel, lines) -> tuple[np.ndarray, np.ndarray]:
     not_secant = lines[U.line_counts[lines] != q + 1]
     if not_secant.size:
         U.classify_line(LineId(int(not_secant[0])))  # StructuralViolation unless a tangent
-        raise ValueError("secant_partition requires a secant line")
+        raise ValueError("secant_partitions requires secant lines")
     n = lines.size
     on_line = plane.incidence[lines]
     feet = on_line[U.mask[on_line]].reshape(n, q + 1)
@@ -534,12 +495,3 @@ def secant_partitions(U: UnitalModel, lines) -> tuple[np.ndarray, np.ndarray]:
     if bool(np.any(ordered[:, 1:] == ordered[:, :-1])):
         raise TheoremViolation("pedal bases in a secant partition must be distinct")
     return bases, feet
-
-
-def secant_partition(U: UnitalModel, line: LineId) -> list[tuple[PointId, PointId]]:
-    """For a secant line, q+1 distinct pedals each meeting the line's unital
-    points in exactly one foot, partitioning them: :func:`secant_partitions`
-    on a one-line batch.  Returns (external point, foot) pairs in foot order.
-    """
-    bases, feet = secant_partitions(U, [line])
-    return [(PointId(int(b)), PointId(int(f))) for b, f in zip(bases[0], feet[0])]

@@ -229,13 +229,7 @@ class ProjectivePlane:
         ids = np.unique(np.asarray(point_ids, dtype=np.int32))
         return int(self.max_collinear(ids[None, :])[0]) >= 3
 
-    # -- enumeration and text ------------------------------------------------------
-
-    def points(self) -> range:
-        return range(self.size)
-
-    def lines(self) -> range:
-        return range(self.size)
+    # -- text ------------------------------------------------------------------------
 
     def format_point(self, point: PointId) -> str:
         a, b, c = self.coords(point)

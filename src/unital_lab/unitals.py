@@ -1,4 +1,4 @@
-"""Orthogonal-Buekenhout-Metz unitals and the classical Hermitian unital.
+"""Orthogonal-Buekenhout-Metz unitals.
 
 An OBM unital with parameters (alpha, beta) is the point set
 
@@ -102,19 +102,18 @@ class BlockingReport:
 class UnitalModel:
     """A unital point set with O(1) membership and cached line statistics.
 
-    Construct through :func:`build_obm_unital` or :func:`build_hermitian`;
-    the raw constructor exists so tests can fabricate corrupted sets.
+    Construct through :func:`build_obm_unital`; the raw constructor exists
+    so tests can fabricate other sets, corrupted ones among them.
     Immutable after construction (caches excepted).
     """
 
-    def __init__(self, ctx, plane, points, params=None, kind="obm", generators=None):
+    def __init__(self, ctx, plane, points, params=None, generators=None):
         self.ctx: FieldCtx = ctx
         self.plane: ProjectivePlane = plane
         self.mask = np.zeros(plane.size, dtype=bool)
         self.mask[np.asarray(points, dtype=np.int32)] = True
         self.points = np.flatnonzero(self.mask).astype(np.int32)  # sorted, distinct
         self.params: UnitalParams | None = params
-        self.kind = kind
         self.infinity_point: PointId = plane.infinity_point
         self.infinity_line: LineId = plane.infinity_line
         # (point ids, x codes, r codes), aligned; affine points only
@@ -127,10 +126,6 @@ class UnitalModel:
     @property
     def size(self) -> int:
         return int(self.points.size)
-
-    @property
-    def classical(self) -> bool:
-        return self.kind == "hermitian" or (self.params is not None and self.params.classical)
 
     def __contains__(self, point) -> bool:
         return bool(self.mask[int(point)])
@@ -198,36 +193,6 @@ class UnitalModel:
             raise StructuralViolation(f"line intersection sizes {bad} violate the unital axiom")
         return {v: int(freq[v]) for v in support}
 
-    def tangent_count_through(self, point: PointId) -> tuple[int, int]:
-        """(tangent, secant) line counts through an arbitrary plane point."""
-        counts = self.line_counts[self.plane.lines_through(point)]
-        tangents = int(np.count_nonzero(counts == 1))
-        return tangents, int(counts.size - tangents)
-
-    # -- tangent lines ------------------------------------------------------
-
-    def tangent_line_at(self, point: PointId) -> LineId:
-        """Closed-form tangent line at a unital point: its entry in
-        :meth:`tangent_lines_closed_form`."""
-        if point not in self:
-            raise ValueError(f"{self.plane.format_point(point)} is not on the unital")
-        pts, lids = self.tangent_lines_closed_form()
-        return LineId(int(lids[np.flatnonzero(pts == point)[0]]))
-
-    def tangent_line_brute(self, point: PointId) -> LineId:
-        """Oracle: scan the q^2+1 lines through the point for the unique
-        1-point line (uses only incidence and membership)."""
-        if point not in self:
-            raise ValueError(f"{self.plane.format_point(point)} is not on the unital")
-        lines = self.plane.lines_through(point)
-        counts = self.mask[self.plane.incidence[lines]].sum(axis=1)
-        hits = lines[counts == 1]
-        if hits.size != 1:
-            raise StructuralViolation(
-                f"{hits.size} tangent lines through {self.plane.format_point(point)}"
-            )
-        return LineId(int(hits[0]))
-
     def tangent_lines_closed_form(self) -> tuple[np.ndarray, np.ndarray]:
         """(point ids, tangent line ids) for every unital point, vectorized
         through the closed form (the brute scan lives in the tests).
@@ -235,15 +200,9 @@ class UnitalModel:
         OBM at [x, alpha*x^2 + beta*N(x) + r, 1]:
             [-2*alpha*x + (conj(beta) - beta)*conj(x), 1,
              alpha*x^2 - conj(beta)*N(x) - r]^t,
-        and the line at infinity at [0,1,0].  The Hermitian model uses its
-        unitary polarity: the tangent at an absolute point is its polar.
+        and the line at infinity at [0,1,0].
         """
         ctx, plane = self.ctx, self.plane
-        if self.kind == "hermitian":
-            pts = self.points
-            cc = ctx.conj_t[plane._coords[pts]]
-            lids = plane.point_ids_vec(cc[:, 0], cc[:, 1], cc[:, 2])
-            return pts.copy(), lids
         p = self.params
         pts, X, R = self.generators
         add, mul, neg, conj = ctx.add_t, ctx.mul_t, ctx.neg_t, ctx.conj_t
@@ -279,7 +238,7 @@ class UnitalModel:
 
     def record(self) -> dict:
         """The model's own report fields; the caller's record names p, n, w, alpha, beta."""
-        rec = {"kind": self.kind, "unital_size": self.size}
+        rec = {"kind": "obm", "unital_size": self.size}
         if self.params is not None:
             rec.update(
                 discriminant=self.params.discriminant,
@@ -289,13 +248,10 @@ class UnitalModel:
         return rec
 
     def __repr__(self):
-        tag = self.kind
-        if self.params is not None:
-            tag += (
-                f"(alpha={self.ctx.format_fq2(self.params.alpha)},"
-                f" beta={self.ctx.format_fq2(self.params.beta)})"
-            )
-        return f"UnitalModel[{tag}, {self.size} points]"
+        if self.params is None:
+            return f"UnitalModel[{self.size} points]"
+        alpha, beta = (self.ctx.format_fq2(c) for c in (self.params.alpha, self.params.beta))
+        return f"UnitalModel[obm(alpha={alpha}, beta={beta}), {self.size} points]"
 
 
 def build_obm_unital(ctx: FieldCtx, plane: ProjectivePlane, params: UnitalParams) -> UnitalModel:
@@ -307,7 +263,7 @@ def build_obm_unital(ctx: FieldCtx, plane: ProjectivePlane, params: UnitalParams
     Y = add[add[mul[params.alpha, mul[X, X]], mul[params.beta, ctx.norm_t[X]]], R]
     ids = plane.point_ids_vec(X, Y, np.ones_like(X))
     points = np.concatenate([ids, [plane.infinity_point]])
-    model = UnitalModel(ctx, plane, points, params=params, kind="obm", generators=(ids, X, R))
+    model = UnitalModel(ctx, plane, points, params=params, generators=(ids, X, R))
     # [0,1,0] is no image of an affine (x, r), so only a collision loses points
     expected = q**3 + 1
     if model.size != expected:
@@ -315,18 +271,4 @@ def build_obm_unital(ctx: FieldCtx, plane: ProjectivePlane, params: UnitalParams
             f"generating map (x, r) -> point is not injective: built {model.size} "
             f"points, expected {expected}"
         )
-    return model
-
-
-def build_hermitian(ctx: FieldCtx, plane: ProjectivePlane) -> UnitalModel:
-    """Absolute points of the standard unitary polarity: N(x)+N(y)+N(z) = 0."""
-    pc = plane._coords
-    s = ctx.qadd_t[
-        ctx.qadd_t[ctx.norm_t[pc[:, 0]], ctx.norm_t[pc[:, 1]]], ctx.norm_t[pc[:, 2]]
-    ]
-    points = np.nonzero(s == 0)[0].astype(np.int32)
-    model = UnitalModel(ctx, plane, points, params=None, kind="hermitian")
-    expected = ctx.q**3 + 1
-    if model.size != expected:
-        raise StructuralViolation(f"built {model.size} points, expected {expected}")
     return model

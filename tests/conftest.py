@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from unital_lab import ProjectivePlane, UnitalModel, build_field_ctx
+from unital_lab import (
+    InternalConsistencyError,
+    ProjectivePlane,
+    StructuralViolation,
+    UnitalModel,
+    build_field_ctx,
+)
 
 _CTX_CACHE = {}
 _PLANE_CACHE = {}
@@ -33,14 +39,29 @@ def swapped_for_external(model) -> UnitalModel:
     set."""
     plane = model.plane
     dropped = int(model.points[0])
-    tangent = model.tangent_line_brute(dropped)
+    tangent = tangent_line_brute(model, dropped)
     outside = ~model.mask
     outside[plane.points_on(tangent)] = False
     added = int(np.flatnonzero(outside)[0])
     points = np.append(model.points[model.points != dropped], added)
-    return UnitalModel(
-        model.ctx, plane, points, params=model.params, kind="obm", generators=model.generators
-    )
+    return UnitalModel(model.ctx, plane, points, params=model.params, generators=model.generators)
+
+
+# -- oracles: incidence, membership and field arithmetic only ----------------------
+
+
+def tangent_line_brute(model, point) -> int:
+    """Oracle for the tangent line at a point of the set: scan the q^2+1
+    lines through it for the unique 1-point line."""
+    plane = model.plane
+    if point not in model:
+        raise ValueError(f"{plane.format_point(point)} is not on the unital")
+    lines = plane.lines_through(point)
+    counts = model.mask[plane.incidence[lines]].sum(axis=1)
+    hits = lines[counts == 1]
+    if hits.size != 1:
+        raise StructuralViolation(f"{hits.size} tangent lines through {plane.format_point(point)}")
+    return int(hits[0])
 
 
 def brute_feet(model, point) -> tuple[int, ...]:
@@ -53,6 +74,47 @@ def brute_feet(model, point) -> tuple[int, ...]:
     members = model.mask[on_lines]
     tangent = members.sum(axis=1) == 1
     return tuple(sorted(on_lines[tangent][members[tangent]].tolist()))
+
+
+def foot_unital_r(model, lam, x) -> int:
+    """The r with Q_x = [x, alpha*x^2 + beta*N(x) + r, 1] for a canonical
+    foot: r = lam*e + alpha*x^2 - conj(beta)*N(x), which must land in GF(q)."""
+    ctx, p = model.ctx, model.params
+    val = ctx.sub(
+        ctx.add(ctx.pack(0, lam), ctx.mul(p.alpha, ctx.mul(x, x))),
+        ctx.mul(ctx.conj(p.beta), ctx.norm(x)),
+    )
+    re, im = ctx.unpack(val)
+    if im != 0:
+        raise InternalConsistencyError(f"r parameter of foot x={x} is not in GF(q)")
+    return re
+
+
+def trace_level_line(model, lam, x) -> int:
+    """The line [0, -1, T(alpha*x^2) - lam*e]^t joining the canonical feet
+    Q_x and Q_{-x}; every such line passes through [1, 0, 0]."""
+    ctx = model.ctx
+    t = ctx.trace(ctx.mul(model.params.alpha, ctx.mul(x, x)))
+    return int(model.plane.line_id(0, ctx.neg(1), ctx.sub(t, ctx.pack(0, lam))))
+
+
+def build_hermitian(ctx, plane) -> UnitalModel:
+    """The classical control: the absolute points N(x) + N(y) + N(z) = 0 of
+    the standard unitary polarity, a unital with no OBM parameters."""
+    pc = plane._coords
+    s = ctx.qadd_t[ctx.qadd_t[ctx.norm_t[pc[:, 0]], ctx.norm_t[pc[:, 1]]], ctx.norm_t[pc[:, 2]]]
+    model = UnitalModel(ctx, plane, np.flatnonzero(s == 0))
+    if model.size != ctx.q**3 + 1:
+        raise StructuralViolation(f"built {model.size} points, expected {ctx.q**3 + 1}")
+    return model
+
+
+def hermitian_tangents(model) -> np.ndarray:
+    """The tangent line ids at a Hermitian model's points, in point order,
+    from its unitary polarity: the tangent at an absolute point [x, y, z] is
+    its polar [conj(x), conj(y), conj(z)]^t."""
+    cc = model.ctx.conj_t[model.plane._coords[model.points]]
+    return model.plane.point_ids_vec(cc[:, 0], cc[:, 1], cc[:, 2])
 
 
 # q in {3, 5, 7, 9, 13} <-> (p, n) pairs used across the suite

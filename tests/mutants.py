@@ -1,0 +1,174 @@
+"""Mutants that the test suite must kill, and an opt-in runner for them.
+
+Each mutant replaces one exact text in one file under ``src/`` and names the
+tests that must fail once it is applied.  ``tests/test_mutants.py`` checks in
+every tier-1 run that each old text still occurs exactly once in its file and
+that each named test still exists, so a refactor that moves the code or
+renames a test shows at once.
+
+Run all mutants, or one, with::
+
+    python tests/mutants.py [--only ID]
+
+The runner copies ``src/`` into a temporary directory, applies one mutant,
+and runs that mutant's tests in one pytest subprocess against the copy, one
+mutant after another.  A mutant survives unless every test it names fails;
+the runner exits 1 if any mutant survives.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    id: str
+    path: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repo root
+
+
+MUTANTS = (
+    Mutant(
+        id="foot-parameters-conj-sign",
+        path="unital_lab/pedals.py",
+        old="neg[mul[ctx.conj(p.alpha), mul[xbar, xbar]]]",
+        new="mul[ctx.conj(p.alpha), mul[xbar, xbar]]",
+        tests=(
+            "tests/test_pedals.py::test_parameter_set_properties",
+            "tests/test_pedals.py::test_foot_parameters_are_the_x_of_the_brute_force_feet",
+            "tests/test_pedals.py::test_closed_form_equals_brute_force[3]",
+        ),
+    ),
+    Mutant(
+        id="trace-class-moved",
+        path="unital_lab/pedals.py",
+        old="tuple(xs[traces == t].tolist())",
+        new="tuple(xs[np.roll(traces, 1) == t].tolist())",
+        tests=(
+            "tests/test_pedals.py::test_trace_class_structure[3]",
+            "tests/test_pedals.py::test_same_trace_solutions_dual_route[3]",
+        ),
+    ),
+    Mutant(
+        id="max-collinear-capped-at-3",
+        path="unital_lab/plane.py",
+        old="best[hit] = gap",
+        new="best[hit] = min(gap, 3)",
+        tests=(
+            "tests/test_pedals.py::test_classical_pedals_always_collinear",
+            "tests/test_pedals.py::test_feet_counts_and_dichotomy_q3",
+        ),
+    ),
+    Mutant(
+        id="sweep-pool-reversed",
+        path="unital_lab/cli.py",
+        old="parts = pool.map(per_tuple, tuples,",
+        new="parts = pool.map(per_tuple, tuples[::-1],",
+        tests=("tests/test_cli.py::test_reports_byte_identical_across_jobs",),
+    ),
+    Mutant(
+        id="obm-tangent-sign",
+        path="unital_lab/unitals.py",
+        old="U = add[neg[mul[two, mul[p.alpha, X]]], mul[bbar_minus_b, conj[X]]]",
+        new="U = add[mul[two, mul[p.alpha, X]], mul[bbar_minus_b, conj[X]]]",
+        tests=(
+            "tests/test_unitals.py::test_tangent_formula_vs_oracle_all_tuples_q3",
+            "tests/test_pedals.py::test_two_pedals_share_at_most_one_point",
+        ),
+    ),
+    Mutant(
+        id="closed-form-feet-lam-sign",
+        path="unital_lab/pedals.py",
+        old="y = ctx.add_t[traces, ctx.neg(ctx.pack(0, lam))]",
+        new="y = ctx.add_t[traces, ctx.pack(0, lam)]",
+        tests=(
+            "tests/test_pedals.py::test_foot_r_values",
+            "tests/test_pedals.py::test_trace_class_structure[3]",
+        ),
+    ),
+    Mutant(
+        id="refused-flag-top-level-usage",
+        path="unital_lab/cli.py",
+        old="_COMMAND_PARSERS[args.command].error(",
+        new="_PARSER.error(",
+        tests=("tests/test_cli.py::test_a_refused_flag_shows_the_usage_of_its_command",),
+    ),
+)
+
+
+def failed_tests(pytest_output: str) -> set[str]:
+    """Node ids of the FAILED and ERROR lines of pytest's short summary."""
+    out = set()
+    for line in pytest_output.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("FAILED", "ERROR") and rest:
+            out.add(rest.split(" - ")[0].strip())
+    return out
+
+
+def run_mutant(mutant: Mutant) -> tuple[bool, str]:
+    """(killed, detail): apply the mutant to a copy of src/ and run its tests."""
+    with tempfile.TemporaryDirectory(prefix="unital-lab-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        target = src / mutant.path
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return False, f"old text occurs {text.count(mutant.old)} times in {mutant.path}"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        where = subprocess.run(
+            [sys.executable, "-c", "import unital_lab; print(unital_lab.__file__)"],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        ).stdout.strip()
+        if not where.startswith(str(src)):  # an installed copy would shadow the mutant
+            return False, f"unital_lab imports from {where or 'nowhere'}, not from the patched copy"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+    if proc.returncode not in (0, 1):
+        return False, f"pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}"
+    survived = [t for t in mutant.tests if t not in failed_tests(proc.stdout)]
+    if survived:
+        return False, "these tests passed: " + ", ".join(survived)
+    return True, f"{len(mutant.tests)} of {len(mutant.tests)} tests failed"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", choices=[m.id for m in MUTANTS], help="run this mutant alone")
+    args = parser.parse_args(argv)
+    chosen = [m for m in MUTANTS if args.only in (None, m.id)]
+    survivors = 0
+    started = time.perf_counter()
+    for mutant in chosen:
+        t0 = time.perf_counter()
+        killed, detail = run_mutant(mutant)
+        survivors += not killed
+        verdict = "killed  " if killed else "SURVIVED"
+        print(f"{verdict} {mutant.id} ({time.perf_counter() - t0:.1f}s): {detail}", flush=True)
+    print(
+        f"{len(chosen) - survivors} of {len(chosen)} mutants killed "
+        f"in {time.perf_counter() - started:.1f}s"
+    )
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,6 @@ import pytest
 
 from unital_lab import (
     ElationGroup,
-    build_hermitian,
     build_obm_unital,
     canonical_base_point,
     cli,
@@ -24,13 +23,13 @@ from unital_lab import (
     orbit_of_pedal,
     partition_lines_for_orbit,
     same_trace_solutions,
-    secant_partition,
+    secant_partitions,
     two_arc_partition,
     valid_parameter_pairs,
     validate_params,
 )
 
-from conftest import PN_BY_Q, brute_feet, get_ctx, get_geometry
+from conftest import PN_BY_Q, brute_feet, build_hermitian, get_ctx, get_geometry
 
 ALL_Q = (3, 5, 7, 9, 13)
 SMALL_Q = (3, 5)
@@ -326,12 +325,11 @@ def test_criterion_10_secant_partition():
         nonlocal ok
         plane = model.plane
         for lid in lids:
-            pairs = secant_partition(model, int(lid))
-            bases = {b for b, _ in pairs}
+            bases, feet = secant_partitions(model, [lid])
             on_line = plane.points_on(int(lid))
             line_unital = {int(x) for x in on_line[model.mask[on_line]]}
-            ok = ok and len(bases) == model.ctx.q + 1
-            ok = ok and {f for _, f in pairs} == line_unital
+            ok = ok and len(set(bases[0].tolist())) == model.ctx.q + 1
+            ok = ok and set(feet[0].tolist()) == line_unital
 
     ctx, plane = get_geometry(3, 1)
     for params in valid_parameter_pairs(ctx):

@@ -268,14 +268,15 @@ def test_output_file(tmp_path, capsys):
 
 
 def _usage_error(args, capsys) -> str:
-    """The stderr of a call that argparse refuses: exit 1, no report, a usage
-    line and then one error line."""
+    """The stderr of a call that argparse refuses: exit 1, no report, the
+    refused command's own usage and then one error line under its name."""
     code = cli.main(args)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     lines = captured.err.splitlines()
-    assert lines[0].startswith("usage: unital-lab") and lines[-1].startswith("unital-lab")
-    assert ": error: " in lines[-1] and captured.err.count(": error: ") == 1
+    assert lines[0].startswith(f"usage: unital-lab {args[0]} [-h] --p P")
+    assert lines[-1].startswith(f"unital-lab {args[0]}: error: ")
+    assert captured.err.count(": error: ") == 1
     return lines[-1]
 
 
@@ -353,6 +354,19 @@ def test_lambda_and_point_on_the_command_line_are_a_usage_error(command, capsys)
         assert err.endswith("unrecognized arguments: --point 1,1,1")
     else:
         assert err.endswith("argument --point: not allowed with argument --lambda")
+
+
+def test_a_refused_flag_shows_the_usage_of_its_command(capsys):
+    orbit = ["orbit", "--p", "3", "--alpha", "1+e", "--beta", "0", "--lambda", "1"]
+    assert cli.main([*orbit, "--point", "1,1,1"]) == 1
+    err = capsys.readouterr().err
+    usage = err[: err.index("\nunital-lab orbit: error: ")]
+    assert usage.split() == [
+        "usage:", "unital-lab", "orbit", "[-h]", "--p", "P", "[--n", "N]", "[--w", "W]",
+        "--alpha", "ALPHA", "--beta", "BETA", "--lambda", "{1,w}", "[--format", "{json,csv}]",
+        "[--out", "OUT]",
+    ]
+    assert err.endswith("unital-lab orbit: error: unrecognized arguments: --point 1,1,1\n")
 
 
 def test_an_abbreviated_flag_is_unrecognised(capsys):

@@ -11,7 +11,6 @@ from unital_lab import (
     InternalConsistencyError,
     TheoremViolation,
     arc_in_conic,
-    build_hermitian,
     build_obm_unital,
     canonical_base_point,
     conic_through,
@@ -19,20 +18,24 @@ from unital_lab import (
     feet_of,
     feet_of_many,
     foot_parameters,
-    foot_unital_r,
     is_single_arc,
     line_pedal_census,
     same_trace_solutions,
-    secant_partition,
     secant_partitions,
-    trace_level_line,
     trace_value,
     two_arc_partition,
     valid_parameter_pairs,
     validate_params,
 )
 
-from conftest import brute_feet, get_geometry
+from conftest import (
+    brute_feet,
+    build_hermitian,
+    foot_unital_r,
+    get_geometry,
+    tangent_line_brute,
+    trace_level_line,
+)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +52,7 @@ def q5_model():
 
 
 def externals(plane, model):
-    return [p for p in plane.points() if p not in model]
+    return [p for p in range(plane.size) if p not in model]
 
 
 # -- feet: brute force ---------------------------------------------------------
@@ -440,10 +443,12 @@ def test_conic_through_parabola_points():
     conic = conic_through(plane, pts)
     # y*z = x^2, canonicalized with leading coefficient 1
     assert conic.coeffs == (1, 0, 0, 0, 0, ctx.neg(1))
-    assert not conic.is_degenerate(ctx)
-    for t in ctx.elements():
-        assert conic.contains(plane, plane.point_id(t, ctx.mul(t, t), 1))
-    assert conic.contains(plane, plane.point_id(0, 1, 0))
+    parabola = [plane.point_id(t, ctx.mul(t, t), 1) for t in ctx.elements()]
+    parabola.append(plane.point_id(0, 1, 0))
+    on_conic = np.flatnonzero(conic.contains_points(plane, np.arange(plane.size)))
+    # non-degenerate: exactly the q^2+1 parabola points, no three collinear
+    assert on_conic.tolist() == sorted(parabola)
+    assert not plane.has_three_collinear(on_conic)
 
 
 def test_conic_through_degenerate_configurations():
@@ -452,7 +457,10 @@ def test_conic_through_degenerate_configurations():
     pts = [plane.point_id(t, 0, 1) for t in range(3)]
     pts += [plane.point_id(0, 1, 1), plane.point_id(1, 1, 1)]
     conic = conic_through(plane, pts)
-    assert conic.is_degenerate(ctx)
+    # reducible: the conic contains the whole line through the collinear three
+    line = plane.join(pts[0], pts[1])
+    assert plane.incident(pts[2], line)
+    assert conic.contains_points(plane, plane.points_on(line)).all()
     # four collinear: a pencil, no unique conic
     pts4 = [plane.point_id(t, 0, 1) for t in range(4)] + [plane.point_id(0, 1, 1)]
     with pytest.raises(DegenerateConfiguration):
@@ -492,6 +500,7 @@ def test_two_pedals_share_at_most_one_point(q3_model):
     ext = externals(plane, model)
     feet = feet_of_many(model, ext)
     sets = [set(int(x) for x in row) for row in feet]
+    tangent_at = dict(zip(*(a.tolist() for a in model.tangent_lines_closed_form())))
     for i, j in combinations(range(len(ext)), 2):
         common = sets[i] & sets[j]
         assert len(common) <= 1
@@ -499,7 +508,7 @@ def test_two_pedals_share_at_most_one_point(q3_model):
             # they intersect exactly when both bases sit on the tangent at
             # the shared foot
             foot = common.pop()
-            tangent = model.tangent_line_at(foot)
+            tangent = tangent_at[foot]
             assert plane.incident(ext[i], tangent) and plane.incident(ext[j], tangent)
 
 
@@ -527,7 +536,8 @@ def test_secant_partition_exhaustive_q3(q3_model):
     secants = np.nonzero(model.line_counts == ctx.q + 1)[0]
     assert secants.size == 63
     for lid in secants:
-        pairs = secant_partition(model, int(lid))
+        bases, feet = secant_partitions(model, [lid])
+        pairs = list(zip(bases[0].tolist(), feet[0].tolist()))
         assert len(pairs) == ctx.q + 1
         bases = [b for b, _ in pairs]
         feet = [f for _, f in pairs]
@@ -542,8 +552,8 @@ def test_secant_partition_exhaustive_q3(q3_model):
 
 def test_secant_partition_rejects_tangents(q3_model):
     ctx, plane, model = q3_model
-    with pytest.raises(ValueError):
-        secant_partition(model, model.infinity_line)
+    with pytest.raises(ValueError, match="secant_partitions requires secant lines"):
+        secant_partitions(model, [model.infinity_line])
 
 
 def _check_secant_pairs(model, line, pairs):
@@ -559,7 +569,7 @@ def _check_secant_pairs(model, line, pairs):
         return set(feet_of(model, point).feet) & line_unital == {foot}
 
     for base, foot in pairs:
-        on_tangent = [int(x) for x in plane.points_on(model.tangent_line_brute(foot))]
+        on_tangent = [int(x) for x in plane.points_on(tangent_line_brute(model, foot))]
         assert base in on_tangent and base != foot
         assert singles_out(base, foot)
         # the base is the first such point of the tangent in id order
@@ -587,8 +597,9 @@ def test_secant_partitions_batch_equals_single_lines(q5_model):
     mixed = np.concatenate([secants[-3:], secants[:2], secants[secants.size // 2 :][:1], secants[:1]])
     bases, feet = secant_partitions(model, mixed)
     for line, row_bases, row_feet in zip(mixed, bases, feet):
-        expected = secant_partition(model, int(line))
-        assert list(zip(row_bases.tolist(), row_feet.tolist())) == expected
+        one_bases, one_feet = secant_partitions(model, [line])
+        assert one_bases.tolist() == [row_bases.tolist()]
+        assert one_feet.tolist() == [row_feet.tolist()]
     tangent = np.nonzero(model.line_counts == 1)[0][0]
     with pytest.raises(ValueError, match="secant"):
         secant_partitions(model, np.insert(mixed, 2, tangent))

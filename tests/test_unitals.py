@@ -7,14 +7,21 @@ from unital_lab import (
     InvalidUnitalParameters,
     StructuralViolation,
     UnitalModel,
-    build_hermitian,
     build_obm_unital,
     discriminant,
     valid_parameter_pairs,
     validate_params,
 )
 
-from conftest import PN_BY_Q, get_ctx, get_geometry, swapped_for_external
+from conftest import (
+    PN_BY_Q,
+    build_hermitian,
+    get_ctx,
+    get_geometry,
+    hermitian_tangents,
+    swapped_for_external,
+    tangent_line_brute,
+)
 
 
 def brute_force_valid_pairs(ctx):
@@ -149,7 +156,7 @@ def test_non_injective_generating_map_is_a_structural_violation(monkeypatch):
 def test_hermitian_model():
     ctx, plane = get_geometry(3, 1)
     H = build_hermitian(ctx, plane)
-    assert H.size == 28 and H.classical
+    assert H.size == 28 and H.params is None and H.generators is None
     assert H.verify_unital_axiom() == {1: 28, 4: 63}
     # [1, y, 0] in H iff 1 + N(y) = 0, giving q+1 points on that line
     solutions = [y for y in ctx.elements() if ctx.qadd(1, ctx.norm(y)) == 0]
@@ -176,7 +183,7 @@ def test_classify_lines():
 def test_structural_violation_on_corrupted_set():
     ctx, plane = get_geometry(3, 1)
     model = build_obm_unital(ctx, plane, validate_params(ctx, ctx.pack(1, 1), 0))
-    broken = UnitalModel(ctx, plane, model.points[:-1], kind="corrupted")
+    broken = UnitalModel(ctx, plane, model.points[:-1])
     with pytest.raises(StructuralViolation):
         broken.verify_unital_axiom()
 
@@ -190,7 +197,7 @@ def test_tangent_formula_vs_oracle_all_tuples_q3():
         model = build_obm_unital(ctx, plane, params)
         pts, lids = model.tangent_lines_closed_form()
         for pt, lid in zip(pts, lids):
-            assert model.tangent_line_brute(int(pt)) == int(lid)
+            assert tangent_line_brute(model, int(pt)) == int(lid)
             assert model.classify_line(int(lid)) == ("tangent", 1)
 
 
@@ -207,35 +214,35 @@ def test_tangent_formula_vs_oracle_q5_spot():
 def test_hermitian_polar_tangents_vs_oracle():
     ctx, plane = get_geometry(3, 1)
     H = build_hermitian(ctx, plane)
-    pts, lids = H.tangent_lines_closed_form()
-    for pt, lid in zip(pts, lids):
-        assert H.tangent_line_brute(int(pt)) == int(lid)
+    for pt, lid in zip(H.points, hermitian_tangents(H)):
+        assert tangent_line_brute(H, int(pt)) == int(lid)
 
 
 def test_tangent_at_vertical_fiber_base():
     # x = 0 specializes the tangent to [0, 1, -r]^t
     ctx, plane = get_geometry(3, 1)
     model = build_obm_unital(ctx, plane, validate_params(ctx, ctx.pack(1, 1), 0))
+    tangent_at = dict(zip(*(a.tolist() for a in model.tangent_lines_closed_form())))
+    assert len(tangent_at) == model.size
     for r in range(ctx.q):
-        assert model.tangent_line_at(plane.point_id(0, r, 1)) == plane.line_id(
-            0, 1, ctx.qneg(r)
-        )
-    assert model.tangent_line_at(model.infinity_point) == model.infinity_line
-    with pytest.raises(ValueError):
-        model.tangent_line_at(plane.point_id(1, 0, 0))
+        assert tangent_at[plane.point_id(0, r, 1)] == plane.line_id(0, 1, ctx.qneg(r))
+    assert tangent_at[model.infinity_point] == model.infinity_line
+    assert plane.point_id(1, 0, 0) not in tangent_at
 
 
 def test_tangent_counts_full_sweep_q3():
     ctx, plane = get_geometry(3, 1)
     model = build_obm_unital(ctx, plane, validate_params(ctx, ctx.pack(1, 1), 0))
     q = ctx.q
-    for pid in plane.points():
-        tangents, secants = model.tangent_count_through(pid)
-        assert tangents + secants == q**2 + 1
+    through = model.line_counts[plane.incidence]  # row = the lines through a point
+    tangents = np.count_nonzero(through == 1, axis=1)
+    secants = np.count_nonzero(through == q + 1, axis=1)
+    assert np.all(tangents + secants == q**2 + 1)
+    for pid in range(plane.size):
         if pid in model:
-            assert (tangents, secants) == (1, q**2)
+            assert (tangents[pid], secants[pid]) == (1, q**2)
         else:
-            assert (tangents, secants) == (q + 1, q**2 - q)
+            assert (tangents[pid], secants[pid]) == (q + 1, q**2 - q)
 
 
 def test_vertical_fibers():
@@ -268,7 +275,7 @@ def test_blocking_report_and_negative_control():
 
     # remove the point at infinity: the infinity line becomes unblocked
     affine = model.points[model.points != model.infinity_point]
-    broken = UnitalModel(ctx, plane, affine, kind="corrupted")
+    broken = UnitalModel(ctx, plane, affine)
     rep = broken.verify_minimal_blocking_set()
     assert not rep.blocking
     assert int(broken.line_counts[model.infinity_line]) == 0
@@ -281,7 +288,7 @@ def _oracle_line_stats(model):
     """Line sizes, tangents per point and the tangent at each point, from
     incidence rows and the membership mask alone, one point at a time."""
     plane, mask = model.plane, model.mask
-    sizes = np.array([int(mask[plane.points_on(line)].sum()) for line in plane.lines()])
+    sizes = np.array([int(mask[plane.points_on(line)].sum()) for line in range(plane.size)])
     tangents = {}
     for point in model.points.tolist():
         lines = plane.lines_through(point)
@@ -294,12 +301,12 @@ def _corrupted(name):
     model = build_obm_unital(ctx, plane, validate_params(ctx, ctx.pack(1, 1), 0))
     if name == "minus_infinity":
         affine = model.points[model.points != model.infinity_point]
-        return UnitalModel(ctx, plane, affine, kind="corrupted")
+        return UnitalModel(ctx, plane, affine)
     if name == "swapped":
         return swapped_for_external(model)
     if name == "plus_external":  # still blocking, but the added point has no tangent
         added = int(np.flatnonzero(~model.mask)[0])
-        return UnitalModel(ctx, plane, np.append(model.points, added), kind="corrupted")
+        return UnitalModel(ctx, plane, np.append(model.points, added))
     return model
 
 
