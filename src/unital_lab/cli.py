@@ -35,13 +35,13 @@ import numpy as np
 from . import __version__
 from .elations import ElationGroup, orbit_incidence_stats, orbit_line_census, orbit_of_pedal, partition_lines_for_orbit
 from .errors import (
+    CheckFailure,
     DegenerateConfiguration,
     DegenerateInput,
     InternalConsistencyError,
     InvalidUnitalParameters,
     ParameterError,
     StructuralViolation,
-    TheoremViolation,
 )
 from .fields import build_field_ctx
 from .pedals import (
@@ -82,22 +82,18 @@ def _context(p: int, n: int, w: int | None):
     return _WORKER["ctx"], _WORKER["plane"]
 
 
-def _sweep(args, tuples: list, per_tuple) -> tuple[list, dict]:
+def _sweep(args, tuples: list, per_tuple) -> list:
     """Map per_tuple (tuple -> list of records) over the tuples, in-process
     or in a fork pool of min(--jobs, CPU count, tuple count) processes, and
-    return the records in tuple order with their summary.  Callers prime
-    the worker context first."""
+    return the records in tuple order.  Callers prime the worker context
+    first."""
     workers = min(max(1, args.jobs), os.cpu_count() or 1, len(tuples))
     if workers <= 1:
         parts = [per_tuple(t) for t in tuples]
     else:
         with mp.get_context("fork").Pool(workers) as pool:
             parts = pool.map(per_tuple, tuples, max(1, len(tuples) // (workers * 4)))
-    records = [rec for part in parts for rec in part]
-    fail = sum(r.get("status") == "fail" for r in records)
-    skipped = sum(str(r.get("status")).startswith("skipped") for r in records)
-    summary = {"pass": len(records) - fail - skipped, "fail": fail, "skipped": skipped}
-    return records, summary
+    return [rec for part in parts for rec in part]
 
 
 def _pair_list(ctx, args) -> list[tuple[int, int]]:
@@ -119,27 +115,41 @@ def _record_base(ctx, alpha: int, beta: int) -> dict:
     }
 
 
+def _tuple_records(check: str, params, fields_of) -> list:
+    """The records of one valid tuple: its record base and ``beta_real``,
+    followed by each entry of fields_of(model).  A check that fails on the
+    way gives the tuple a single ``fail`` record naming ``check`` and the
+    exception, and the sweep goes on."""
+    ctx, plane = _WORKER["ctx"], _WORKER["plane"]
+    rec = _record_base(ctx, params.alpha, params.beta)
+    try:
+        model = build_obm_unital(ctx, plane, params)
+        rec["beta_real"] = params.beta_real
+        return [{**rec, **fields} for fields in fields_of(model)]
+    except CheckFailure as exc:
+        rec.update(status="fail", check=check, error=f"{type(exc).__name__}: {exc}")
+        return [rec]
+
+
 # -- verify ----------------------------------------------------------------------
 
 
 def _verify_pair(pair) -> list:
-    """The verify record of one pair.  A build that fails its own check
-    gives the pair a single ``fail`` record with check ``build``, and the
-    sweep goes on."""
-    ctx, plane = _WORKER["ctx"], _WORKER["plane"]
-    alpha, beta = pair
-    rec = _record_base(ctx, alpha, beta)
+    """The verify record of one pair; a failed build is check ``build``."""
+    ctx = _WORKER["ctx"]
     try:
-        params = validate_params(ctx, alpha, beta)
+        params = validate_params(ctx, *pair)
     except InvalidUnitalParameters as exc:
+        rec = _record_base(ctx, *pair)
         rec.update(status="skipped: invalid (discriminant square)", discriminant=exc.discriminant)
         return [rec]
-    try:
-        model = build_obm_unital(ctx, plane, params)
-    except StructuralViolation as exc:
-        rec.update(status="fail", check="build", error=f"{type(exc).__name__}: {exc}")
-        return [rec]
-    rec.update(model.record())
+    return _tuple_records("build", params, _verify_checks)
+
+
+def _verify_checks(model) -> list:
+    """The model's record fields, the structural checks and their status."""
+    ctx = model.ctx
+    rec = model.record()
     checks = {}
     checks["size"] = model.size == ctx.q**3 + 1
     try:
@@ -166,9 +176,7 @@ def _verify_pair(pair) -> list:
 
 def cmd_verify(args) -> tuple[dict, int]:
     ctx, _ = _context(args.p, args.n, args.w)
-    records, summary = _sweep(args, _pair_list(ctx, args), _verify_pair)
-    report = _report_envelope("verify", ctx, args, records, summary)
-    return report, (2 if summary["fail"] else 0)
+    return _report("verify", ctx, args, _sweep(args, _pair_list(ctx, args), _verify_pair))
 
 
 # -- pedal / census / orbit --------------------------------------------------------
@@ -187,10 +195,9 @@ def _single_tuple(args):
 
 def _single_report(args, ctx, model, fields: dict) -> tuple[dict, int]:
     """The one-record report of pedal, census and orbit: the tuple's record
-    base followed by the command's fields; it passes by construction."""
+    base followed by the command's fields."""
     rec = {**_record_base(ctx, model.params.alpha, model.params.beta), **fields}
-    summary = {"pass": 1, "fail": 0, "skipped": 0}
-    return _report_envelope(args.command, ctx, args, [rec], summary), 0
+    return _report(args.command, ctx, args, [rec])
 
 
 def _resolve_base(ctx, plane, model, args):
@@ -381,18 +388,10 @@ _SCANS = {
 
 
 def _scan_tuple(problem: str, params) -> list:
-    """The scan records of one valid tuple.  A structural, theorem or
-    consistency check that fails gives the tuple a single ``fail`` record
-    naming the check and the exception, and the scan goes on."""
-    ctx, plane = _WORKER["ctx"], _WORKER["plane"]
-    rec = _record_base(ctx, params.alpha, params.beta)
-    try:
-        model = build_obm_unital(ctx, plane, params)
-        rec["beta_real"] = params.beta_real
-        return [{**rec, **fields} for fields in _SCANS[problem](model)]
-    except (TheoremViolation, StructuralViolation, InternalConsistencyError) as exc:
-        rec.update(status="fail", check=problem, error=f"{type(exc).__name__}: {exc}")
-        return [rec]
+    """The scan records of one valid tuple; a failed check names the problem.
+    ``_SCANS`` is read here, in the worker, so the pool maps a picklable
+    partial of this function."""
+    return _tuple_records(problem, params, _SCANS[problem])
 
 
 def cmd_scan(args) -> tuple[dict, int]:
@@ -402,18 +401,21 @@ def cmd_scan(args) -> tuple[dict, int]:
     if alpha is not None and beta is not None:
         validate_params(ctx, alpha, beta)  # a named tuple must be a unital, as for pedal
     tuples = valid_parameter_pairs(ctx, nonclassical_only=True, alpha=alpha, beta=beta)
-    records, summary = _sweep(args, tuples, functools.partial(_scan_tuple, args.problem))
-    summary["tuples"] = len(tuples)
-    report = _report_envelope(f"scan:{args.problem}", ctx, args, records, summary)
-    return report, (2 if summary["fail"] else 0)
+    records = _sweep(args, tuples, functools.partial(_scan_tuple, args.problem))
+    return _report(f"scan:{args.problem}", ctx, args, records, tuples=len(tuples))
 
 
 # -- emission ----------------------------------------------------------------------
 
 
-def _report_envelope(command: str, ctx, args, records, summary) -> dict:
+def _report(command: str, ctx, args, records, **counts) -> tuple[dict, int]:
+    """The report of a command's records with their summary, and the exit
+    code: 2 when a record failed, else 0."""
+    fail = sum(r.get("status") == "fail" for r in records)
+    skipped = sum(str(r.get("status")).startswith("skipped") for r in records)
+    summary = {"pass": len(records) - fail - skipped, "fail": fail, "skipped": skipped, **counts}
     flag = vars(args).get  # a flag the command does not take reads null
-    return {
+    report = {
         "tool": {"name": "unital-lab", "version": __version__},
         "command": command,
         "config": {
@@ -430,6 +432,7 @@ def _report_envelope(command: str, ctx, args, records, summary) -> dict:
         "records": records,
         "summary": summary,
     }
+    return report, (2 if fail else 0)
 
 
 def _flatten(record: dict, prefix: str = "") -> dict:
@@ -546,13 +549,8 @@ def main(argv=None) -> int:
             raise ParameterError(f"--out {args.out}: its directory does not exist")
         report, code = _COMMANDS[args.command](args)
         _emit(report, args)
-    except (
-        TheoremViolation,
-        StructuralViolation,
-        InternalConsistencyError,
-        DegenerateInput,
-        DegenerateConfiguration,
-    ) as exc:  # the two Degenerate* are ValueErrors raised by library checks
+    except (CheckFailure, DegenerateInput, DegenerateConfiguration) as exc:
+        # the two Degenerate* are ValueErrors raised by library checks
         sys.stderr.write(f"unital-lab: check failed: {exc}\n")
         return 2
     except (ParameterError, InvalidUnitalParameters, ValueError) as exc:

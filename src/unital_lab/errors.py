@@ -21,21 +21,26 @@ class DegenerateConfiguration(ValueError):
     """Point configuration that does not pin down a unique conic (nullity > 1)."""
 
 
-class StructuralViolation(RuntimeError):
+class CheckFailure(RuntimeError):
+    """A check of the library failed on the data it was given; a sweep
+    records it as the tuple's ``fail`` record, any other command exits 2."""
+
+
+class StructuralViolation(CheckFailure):
     """A constructed point set fails the unital axiom; signals a construction bug.
 
     Everything downstream assumes every line meets the unital in 1 or q+1
     points, so this stops the work on that set instead of producing garbage
-    censuses; a sweep records it as the tuple's ``fail`` record.
+    censuses.
     """
 
 
-class TheoremViolation(RuntimeError):
+class TheoremViolation(CheckFailure):
     """An exhaustively checked structural claim failed; this is a test-failure signal."""
 
 
-class InternalConsistencyError(RuntimeError):
+class InternalConsistencyError(CheckFailure):
     """A closed form disagreed with the data it describes: canonical feet
     off the unital or unequal to the brute-force feet, or the
     GF(q)-coordinate quadratic system unequal to a trace class.  Signals a
-    formula bug; a sweep records it as the tuple's ``fail`` record."""
+    formula bug."""

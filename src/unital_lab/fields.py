@@ -9,8 +9,8 @@ gather whole coordinate arrays through the operation tables:
   the element a + e*b is packed as ``a + q*b``, 0..q^2-1.  GF(q) embeds as
   the codes below q, so an Fq code is already its own lift.
 
-The tables are built once per context by plain polynomial arithmetic (the
-table-free reference route, kept importable as ``fq_add_raw``/``fq_mul_raw``).
+The GF(q) tables are built once per context from the companion matrix of
+the first monic irreducible of degree n, and the GF(q^2) tables from them.
 
 Text syntax for elements: GF(q) is a decimal code, GF(q^2) is ``A+e*B``
 (with the short forms ``A``, ``e``, ``e*B``, ``A+e`` accepted).
@@ -45,88 +45,31 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def _digits(value: int, p: int, n: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(value % p)
-        value //= p
-    return tuple(out)
+def _gf_q_tables(p: int, n: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """(irreducible, addition table, multiplication table) of GF(p^n).
 
-
-def _undigits(digits, p: int) -> int:
-    value = 0
-    for d in reversed(digits):
-        value = value * p + d
-    return value
-
-
-def _poly_divmod(num, den, p):
-    """Polynomial division over GF(p); coefficients little-endian, den monic-izable."""
-    num = list(num)
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(den[-1], p - 2, p)
-    quot = [0] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den) and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        factor = (num[-1] * inv_lead) % p
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - factor * c) % p
-    return quot, num
-
-
-def _poly_is_irreducible(coeffs, p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2 over GF(p)."""
-    deg = len(coeffs) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in range(p**d):
-            den = list(_digits(tail, p, d)) + [1]
-            _, rem = _poly_divmod(list(coeffs), den, p)
-            if not any(rem):
-                return False
-    return True
-
-
-def _find_irreducible(p: int, n: int) -> tuple[int, ...]:
-    """Minimal monic irreducible of degree n, ordered by the little-endian
-    base-p encoding of the non-leading coefficients (the same order used for
-    field elements, so the choice is reproducible bit for bit)."""
-    if n == 1:
-        return (0, 1)  # the polynomial t itself; GF(p) needs no quotient
-    for tail in range(p**n):
-        coeffs = _digits(tail, p, n) + (1,)
-        if _poly_is_irreducible(coeffs, p):
-            return coeffs
-    raise ParameterError(f"no monic irreducible of degree {n} over GF({p})")
-
-
-def fq_add_raw(p: int, n: int, a: int, b: int) -> int:
-    """Reference (table-free) addition in GF(p^n): digitwise mod p."""
-    da, db = _digits(a, p, n), _digits(b, p, n)
-    return _undigits([(x + y) % p for x, y in zip(da, db)], p)
-
-
-def fq_mul_raw(p: int, n: int, irreducible, a: int, b: int) -> int:
-    """Reference (table-free) multiplication in GF(p^n): polynomial product
-    reduced modulo the defining irreducible."""
-    da, db = _digits(a, p, n), _digits(b, p, n)
-    prod = [0] * (2 * n - 1)
-    for i, x in enumerate(da):
-        if x == 0:
-            continue
-        for j, y in enumerate(db):
-            prod[i + j] = (prod[i + j] + x * y) % p
-    _, rem = _poly_divmod(prod, list(irreducible), p)
-    rem += [0] * (n - len(rem))
-    return _undigits(rem[:n], p)
+    An element is its row of the (q, n) little-endian digit matrix, so adding
+    is the digitwise sum mod p, and multiplying by a is the matrix
+    sum_i a_i C^i, with C the companion matrix of a monic f of degree n.  The
+    candidates f come in the order of the code of their low coefficients; the
+    first whose table gives every nonzero element an inverse is irreducible,
+    since a finite commutative ring without zero divisors is a field, and
+    one exists for every prime p and degree n.  For n = 1 the first
+    candidate, f = t, already gives a*b mod p.
+    """
+    place = p ** np.arange(n)
+    digits = np.arange(p**n)[:, None] // place % p
+    add = (digits[:, None] + digits[None, :]) % p @ place
+    for low in digits:
+        companion = np.eye(n, k=-1, dtype=digits.dtype)  # t * t^i = t^(i+1) ...
+        companion[:, -1] = -low % p  # ... and t * t^(n-1) = -(f - t^n)
+        powers = [np.eye(n, dtype=digits.dtype)]
+        for _ in range(1, n):
+            powers.append(powers[-1] @ companion % p)
+        times = np.tensordot(digits, np.array(powers), axes=1)  # times[a] = sum_i a_i C^i
+        mul = np.einsum("aij,bj->abi", times, digits) % p @ place
+        if np.all(np.any(mul[1:] == 1, axis=1)):
+            return tuple(low.tolist()) + (1,), add.astype(np.int32), mul.astype(np.int32)
 
 
 class FieldCtx:
@@ -159,30 +102,12 @@ class FieldCtx:
         self.n = n
         self.q = q
         self.q2 = q * q
-        self.irreducible = _find_irreducible(p, n)
-
-        # GF(q) tables from the polynomial reference route.
-        rng = range(q)
-        self.qadd_t = np.array(
-            [[fq_add_raw(p, n, a, b) for b in rng] for a in rng], dtype=np.int32
-        )
-        self.qmul_t = np.array(
-            [[fq_mul_raw(p, n, self.irreducible, a, b) for b in rng] for a in rng],
-            dtype=np.int32,
-        )
-        self.qneg_t = np.array(
-            [_undigits([(-d) % p for d in _digits(a, p, n)], p) for a in rng],
-            dtype=np.int32,
-        )
-        qinv = [0] * q  # inv(0) stored as 0; scalar division checks for it
-        for a in range(1, q):
-            row = self.qmul_t[a]
-            qinv[a] = int(np.nonzero(row == 1)[0][0])
-        self.qinv_t = np.array(qinv, dtype=np.int32)
-
+        self.irreducible, self.qadd_t, self.qmul_t = _gf_q_tables(p, n)
+        self.qneg_t = np.argmax(self.qadd_t == 0, axis=1).astype(np.int32)
+        # inv(0) reads 0, the argmax of a row without a 1; scalar division checks for it
+        self.qinv_t = np.argmax(self.qmul_t == 1, axis=1).astype(np.int32)
         squares = np.zeros(q, dtype=bool)
-        for a in rng:
-            squares[self.qmul_t[a, a]] = True
+        squares[np.diagonal(self.qmul_t)] = True
         self.square_mask = squares
 
         if w is None:

@@ -77,17 +77,7 @@ def valid_parameter_pairs(
         valid[codes != alpha, :] = False
     if beta is not None:
         valid[:, codes != beta] = False
-    beta_real = ctx.conj_t[codes] == codes
-    return [
-        UnitalParams(
-            alpha=a,
-            beta=b,
-            discriminant=int(disc[a, b]),
-            classical=(a == 0),
-            beta_real=bool(beta_real[b]),
-        )
-        for a, b in np.argwhere(valid).tolist()
-    ]
+    return [validate_params(ctx, a, b) for a, b in np.argwhere(valid).tolist()]
 
 
 @dataclass(frozen=True)

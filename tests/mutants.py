@@ -101,6 +101,40 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        id="companion-column-sign",
+        path="unital_lab/fields.py",
+        old="companion[:, -1] = -low % p",
+        new="companion[:, -1] = low % p",
+        tests=(
+            "tests/test_fields.py::test_gf_q_tables_above_the_cap_match_galoistools[3-3]",
+            "tests/test_fields.py::test_gf_q_tables_above_the_cap_match_galoistools[5-2]",
+            "tests/test_fields.py::test_gf_q_tables_above_the_cap_match_galoistools[7-2]",
+            "tests/test_fields.py::test_gf9_irreducible_is_minimal",
+        ),
+    ),
+    Mutant(
+        id="field-test-accepts-first-candidate",
+        path="unital_lab/fields.py",
+        old="np.any(mul[1:] == 1, axis=1)",
+        new="np.any(mul[1:] >= 0, axis=1)",
+        tests=(
+            "tests/test_fields.py::test_gf_q_tables_above_the_cap_match_galoistools[3-3]",
+            "tests/test_fields.py::test_gf_q_tables_above_the_cap_match_galoistools[5-2]",
+            "tests/test_fields.py::test_gf_q_tables_above_the_cap_match_galoistools[7-2]",
+            "tests/test_fields.py::test_gf9_irreducible_is_minimal",
+        ),
+    ),
+    Mutant(
+        id="failed-tuple-always-check-build",
+        path="unital_lab/cli.py",
+        old='rec.update(status="fail", check=check,',
+        new='rec.update(status="fail", check="build",',
+        tests=(
+            "tests/test_cli.py::test_scan_records_a_failed_tuple_and_goes_on",
+            "tests/test_cli.py::test_four_lines_fails_a_tuple_whose_canonical_base_is_not_scanned",
+        ),
+    ),
+    Mutant(
         id="refused-flag-top-level-usage",
         path="unital_lab/cli.py",
         old="_COMMAND_PARSERS[args.command].error(",

@@ -13,14 +13,39 @@ from sympy.polys.galoistools import (
 )
 
 from unital_lab import ParameterError, build_field_ctx
-from unital_lab.fields import fq_add_raw, fq_mul_raw
+from unital_lab.fields import _gf_q_tables
 
 from conftest import PN_BY_Q, get_ctx
 
 
-def exhaustive_squares(ctx):
-    """Oracle: the set of squares of GF(q) by squaring every element."""
-    return {ctx.qmul(a, a) for a in ctx.subfield_elements()}
+def _poly(code, p, n):
+    """Element code (little-endian base-p digits) -> galoistools polynomial
+    (big-endian coefficient list, leading zeros stripped)."""
+    return gf_strip([(code // p**i) % p for i in reversed(range(n))])
+
+
+def _code(poly, p):
+    return sum(int(c) * p**i for i, c in enumerate(reversed(poly)))
+
+
+def _first_irreducible(p, n):
+    """First monic irreducible of degree n, ordered by the little-endian
+    base-p code of its lower coefficients."""
+    for tail in range(p**n):
+        poly = [1] + [(tail // p**i) % p for i in reversed(range(n))]
+        if gf_irreducible_p(poly, p, ZZ):
+            return poly
+    raise AssertionError(f"no irreducible of degree {n} over GF({p})")
+
+
+def euler_squares(p, n):
+    """Oracle: the squares of GF(q), by Euler's criterion a^((q-1)/2) = 1 in
+    galoistools' GF(p)[t] modulo its own first irreducible, plus 0."""
+    q, modulus = p**n, _first_irreducible(p, n)
+    one = _poly(1, p, n)
+    return {0} | {
+        a for a in range(1, q) if gf_pow_mod(_poly(a, p, n), (q - 1) // 2, modulus, p, ZZ) == one
+    }
 
 
 # -- construction ------------------------------------------------------------
@@ -66,7 +91,7 @@ def test_w_is_minimal_nonsquare_by_oracle():
     frozen = {(3, 1): 2, (5, 1): 2, (7, 1): 3, (3, 2): 4, (13, 1): 2}
     for (p, n), expected in frozen.items():
         ctx = get_ctx(p, n)
-        nonsquares = sorted(set(ctx.subfield_elements()) - exhaustive_squares(ctx))
+        nonsquares = sorted(set(ctx.subfield_elements()) - euler_squares(p, n))
         assert ctx.w == nonsquares[0] == expected
 
 
@@ -214,7 +239,7 @@ def test_trace_linear_norm_multiplicative():
 @pytest.mark.parametrize("q", sorted(PN_BY_Q))
 def test_is_square_matches_exhaustive_table(q):
     ctx = get_ctx(*PN_BY_Q[q])
-    squares = exhaustive_squares(ctx)
+    squares = euler_squares(*PN_BY_Q[q])
     for a in ctx.subfield_elements():
         assert ctx.is_square(a) == (a in squares)
     assert ctx.is_square(0) and ctx.is_square(1)
@@ -225,50 +250,47 @@ def test_two_is_nonsquare_mod3():
     assert not get_ctx(3, 1).is_square(2)
 
 
-# -- reference route and an independent oracle (sympy galoistools) -----------------
+# -- independent oracles (sympy galoistools, arithmetic mod p) -----------------------
 
 
-@pytest.mark.parametrize("q", sorted(PN_BY_Q))
-def test_tables_match_polynomial_reference(q):
-    p, n = PN_BY_Q[q]
-    ctx = get_ctx(p, n)
-    for a in range(q):
-        for b in range(q):
-            assert ctx.qadd(a, b) == fq_add_raw(p, n, a, b)
-            assert ctx.qmul(a, b) == fq_mul_raw(p, n, ctx.irreducible, a, b)
-
-
-def _poly(code, p, n):
-    """Element code (little-endian base-p digits) -> galoistools polynomial
-    (big-endian coefficient list, leading zeros stripped)."""
-    return gf_strip([(code // p**i) % p for i in reversed(range(n))])
-
-
-def _code(poly, p):
-    return sum(int(c) * p**i for i, c in enumerate(reversed(poly)))
-
-
-def _first_irreducible(p, n):
-    """First monic irreducible of degree n, ordered by the little-endian
-    base-p code of its lower coefficients."""
-    for tail in range(p**n):
-        poly = [1] + [(tail // p**i) % p for i in reversed(range(n))]
-        if gf_irreducible_p(poly, p, ZZ):
-            return poly
-    raise AssertionError(f"no irreducible of degree {n} over GF({p})")
+def galois_tables(p, n):
+    """(irreducible, add table, mul table) of GF(p^n) from galoistools, the
+    irreducible little-endian as ``FieldCtx.irreducible`` stores it."""
+    irreducible = _first_irreducible(p, n)
+    polys = [_poly(a, p, n) for a in range(p**n)]
+    add = [[_code(gf_add(f, g, p, ZZ), p) for g in polys] for f in polys]
+    mul = [[_code(gf_rem(gf_mul(f, g, p, ZZ), irreducible, p, ZZ), p) for g in polys] for f in polys]
+    return tuple(reversed(irreducible)), np.array(add), np.array(mul)
 
 
 @pytest.mark.parametrize("q", sorted(PN_BY_Q))
 def test_gf_q_matches_galoistools(q):
-    p, n = PN_BY_Q[q]
-    ctx = get_ctx(p, n)
-    irreducible = _first_irreducible(p, n)
-    assert ctx.irreducible == tuple(reversed(irreducible))
-    polys = [_poly(a, p, n) for a in range(q)]
-    add = [[_code(gf_add(f, g, p, ZZ), p) for g in polys] for f in polys]
-    mul = [[_code(gf_rem(gf_mul(f, g, p, ZZ), irreducible, p, ZZ), p) for g in polys] for f in polys]
+    ctx = get_ctx(*PN_BY_Q[q])
+    irreducible, add, mul = galois_tables(*PN_BY_Q[q])
+    assert ctx.irreducible == irreducible
     assert np.array_equal(ctx.qadd_t, add)
     assert np.array_equal(ctx.qmul_t, mul)
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (5, 2), (7, 2)])
+def test_gf_q_tables_above_the_cap_match_galoistools(p, n):
+    # q = 27, 25 and 49: the construction the cap does not reach yet
+    irreducible, add, mul = _gf_q_tables(p, n)
+    oracle = galois_tables(p, n)
+    assert irreducible == oracle[0]
+    assert np.array_equal(add, oracle[1])
+    assert np.array_equal(mul, oracle[2])
+
+
+@pytest.mark.parametrize("p", [11, 17, 19])
+def test_prime_fields_beside_the_fixtures_are_arithmetic_mod_p(p):
+    ctx = build_field_ctx(p, 1)
+    a = np.arange(p)
+    assert ctx.irreducible == (0, 1)
+    assert np.array_equal(ctx.qadd_t, (a[:, None] + a[None, :]) % p)
+    assert np.array_equal(ctx.qmul_t, a[:, None] * a[None, :] % p)
+    assert np.array_equal(ctx.qneg_t, -a % p)
+    assert ctx.qinv_t.tolist() == [0] + [pow(int(x), -1, p) for x in a[1:]]
 
 
 @pytest.mark.parametrize("q", [q for q, (p, n) in sorted(PN_BY_Q.items()) if n == 1])
