@@ -206,11 +206,6 @@ def _resolve_base(ctx, plane, model, args):
         lam = dict(_lambdas(ctx))[args.lam]
         return canonical_base_point(model, lam), (args.lam, lam)
     base = plane.parse_point(args.point)
-    if base in model:
-        raise ParameterError(
-            f"point {plane.format_point(base)} lies on the unital; pedals are "
-            "defined for external points"
-        )
     # a --point naming the canonical base still gets the closed-form frame
     frames = (frame for frame in _lambdas(ctx) if base == canonical_base_point(model, frame[1]))
     return base, next(frames, None)

@@ -18,7 +18,7 @@ class DegenerateInput(ValueError):
 
 
 class DegenerateConfiguration(ValueError):
-    """Point configuration that does not pin down a unique conic (nullity > 1)."""
+    """Five points with four of them collinear, so no unique conic passes through them."""
 
 
 class CheckFailure(RuntimeError):

@@ -19,6 +19,9 @@ through [1, 0, 0], read by the two-arc split and the quadratic cross-check.
 The equivalent matrix and imaginary-part forms of the condition, and the
 second foot representation, are compared with the closed form once,
 exhaustively, in the acceptance suite (criterion 07).
+
+The conic through five points A, B, C, D, E is built, not solved for: it is
+the member of the pencil of line pairs AB*CD, AC*BD that vanishes at E.
 """
 
 from __future__ import annotations
@@ -357,59 +360,37 @@ class Conic:
         return total == 0
 
 
-def _gf_nullspace(ctx, rows) -> list[list[int]]:
-    """Basis of the right nullspace of a small matrix over GF(q^2)."""
-    rows = [list(r) for r in rows]
-    n_cols = len(rows[0])
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = ctx.inv(rows[rank][col])
-        rows[rank] = [ctx.mul(inv, v) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    free = [c for c in range(n_cols) if c not in pivots]
-    for fc in free:
-        vec = [0] * n_cols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = ctx.neg(rows[r][fc])
-        basis.append(vec)
-    return basis
+_MONO_I, _MONO_J = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]  # x^2, y^2, z^2, xy, xz, yz
 
 
 def _monomials(plane, points) -> np.ndarray:
     """(k, 6) codes of x^2, y^2, z^2, xy, xz, yz at the points' coordinates."""
     c = plane._coords[np.asarray(points, dtype=np.int32)]
-    return plane.ctx.mul_t[c[:, [0, 1, 2, 0, 0, 1]], c[:, [0, 1, 2, 1, 2, 2]]]
+    return plane.ctx.mul_t[c[:, _MONO_I], c[:, _MONO_J]]
 
 
 def conic_through(plane, points) -> Conic:
-    """The unique conic through five points (no four collinear); the 5x6
-    homogeneous system must have nullity exactly one."""
+    """The unique conic through five points A, B, C, D, E, no four collinear:
+    w1*(AB*CD) - w0*(AC*BD), with w0, w1 the line pairs' values at E.  Both
+    pairs vanish at A, B, C and D, and the form is zero exactly when four of
+    the five points are collinear, the one case with more than one conic."""
     pts = [PointId(int(p)) for p in points]
     if len(pts) != 5 or len(set(pts)) != 5:
         raise DegenerateInput("conic_through expects five distinct points")
     ctx = plane.ctx
-    basis = _gf_nullspace(ctx, _monomials(plane, pts).tolist())
-    if len(basis) != 1:
-        raise DegenerateConfiguration(
-            f"five points determine a conic pencil of dimension {len(basis)}; "
-            "configuration is degenerate"
-        )
-    coeffs = basis[0]
-    lead = next(v for v in coeffs if v != 0)
-    inv = ctx.inv(lead)
-    return Conic(tuple(ctx.mul(inv, v) for v in coeffs))
+    add, mul, neg = ctx.add_t, ctx.mul_t, ctx.neg_t
+    a, b, c, d, e = plane._coords[pts]
+    # l = (AB, AC) and m = (CD, BD), from one cross product of stacked pairs
+    l, m = plane.vcross(np.array([[a, a], [c, b]]), np.array([[b, c], [d, d]]))
+    w0, w1 = mul[plane.vdot(l, e), plane.vdot(m, e)]
+    # (l.X)(m.X): l_i m_i on the squares, l_i m_j + l_j m_i on the cross terms
+    form = mul[l[:, _MONO_I], m[:, _MONO_J]]
+    form[:, 3:] = add[form[:, 3:], mul[l[:, _MONO_J[3:]], m[:, _MONO_I[3:]]]]
+    coeffs = add[mul[w1, form[0]], neg[mul[w0, form[1]]]]
+    nonzero = np.flatnonzero(coeffs)
+    if not nonzero.size:
+        raise DegenerateConfiguration("four of the five points are collinear")
+    return Conic(tuple(mul[ctx.inv_t[coeffs[nonzero[0]]], coeffs].tolist()))
 
 
 @dataclass(frozen=True)
@@ -422,7 +403,8 @@ class ConicFitResult:
 
 def arc_in_conic(plane, arc) -> ConicFitResult:
     """Fit a conic to the first five arc points (encoding order), sliding the
-    window past degenerate quintuples, then test the remaining points.
+    window past quintuples with four collinear points, then test the
+    remaining points.
 
     Arcs with fewer than five points lie on some conic trivially.
     """

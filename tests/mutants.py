@@ -54,6 +54,29 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        id="conic-pencil-weights-swapped",
+        path="unital_lab/pedals.py",
+        old="coeffs = add[mul[w1, form[0]], neg[mul[w0, form[1]]]]",
+        new="coeffs = add[mul[w0, form[0]], neg[mul[w1, form[1]]]]",
+        tests=(
+            "tests/test_pedals.py::test_conic_through_against_scalar_oracle[3-1]",
+            "tests/test_pedals.py::test_conic_through_is_the_one_conic_of_a_brute_force_search",
+            "tests/test_golden_reports.py::test_report_bytes_match_golden_digest"
+            "[scan --p 7 --n 1 --problem conics --alpha 1+e]",
+        ),
+    ),
+    Mutant(
+        id="conic-cross-terms-unsymmetrised",
+        path="unital_lab/pedals.py",
+        old="add[form[:, 3:], mul[l[:, _MONO_J[3:]], m[:, _MONO_I[3:]]]]",
+        new="form[:, 3:]",
+        tests=(
+            "tests/test_pedals.py::test_conic_through_parabola_points",
+            "tests/test_pedals.py::test_arc_in_conic",
+            "tests/test_pedals.py::test_conic_through_against_scalar_oracle[3-1]",
+        ),
+    ),
+    Mutant(
         id="trace-class-moved",
         path="unital_lab/pedals.py",
         old="tuple(xs[traces == t].tolist())",

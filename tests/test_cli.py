@@ -124,6 +124,16 @@ def test_pedal_point_on_unital_is_domain_error(capsys):
     assert code == 1 and out == ""
 
 
+@pytest.mark.parametrize("command", ["pedal", "census"])
+@pytest.mark.parametrize("point", ["0,1,0", "0,0,1"])
+def test_a_point_on_the_unital_is_refused_by_name(command, point, capsys):
+    code = cli.main([command, "--p", "3", "--n", "1", "--alpha", "1+e", "--beta", "0",
+                     "--point", point])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert f"[{point}] lies on the unital" in captured.err
+
+
 def test_census_schema(capsys):
     code, report = run_json(
         ["census", "--p", "3", "--n", "1", "--alpha", "1+e", "--beta", "0", "--lambda", "1"],

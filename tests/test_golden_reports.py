@@ -1,6 +1,7 @@
 """Golden report bytes: the sha256 of every command's stdout at q = 3, one CSV
-projection, single-tuple and single-alpha-row reports at q = 5, and one alpha
-row of each scan at q = 9 and of verify at q = 13.
+projection, single-tuple and single-alpha-row reports at q = 5, one conics
+alpha row at q = 7, and one alpha row of each scan at q = 9 and of verify at
+q = 13.
 
 The benchmark's golden set covers every alpha row of verify at q = 13, the
 scans at q = 9 and four-lines at q = 5; this file covers the rest of the CLI
@@ -64,6 +65,9 @@ GOLDEN = {
         "0a1647379198f1a054bb78991bc877e06e0e82cc7bcba996dbe039f6ecf3bdaa",
     "scan --p 5 --n 1 --alpha 1 --problem incidence-structure":
         "3e0283468b76fd1fe25d47a4e749aa36fb0654cd99ac9a716049109f1e805b24",
+    # the one golden row whose conic fits include false (14 true, 28 false)
+    "scan --p 7 --n 1 --problem conics --alpha 1+e":
+        "4ca0d1c60452ca50187f33ec0f8fe958813465abd53937145b2a52df0e681682",
     # every external point off the line at infinity (q <= 5); argv and digest
     # as in perfbench/golden.json.
     "scan --p 5 --n 1 --problem four-lines --alpha 1+e --format json --jobs 1":

@@ -469,6 +469,82 @@ def test_conic_through_degenerate_configurations():
         conic_through(plane, pts[:4] + [pts[0]])
 
 
+def _quintuples(plane, rng, count):
+    """``count`` quintuples of distinct points, in turn random and with 3, 4
+    and 5 of their points drawn from one random line."""
+    out = []
+    for i in range(count):
+        pts = []
+        if i % 4:
+            line = plane.points_on(int(rng.integers(plane.size)))
+            pts = [int(p) for p in rng.choice(line, i % 4 + 2, replace=False)]
+        while len(pts) < 5:
+            p = int(rng.integers(plane.size))
+            if p not in pts:
+                pts.append(p)
+        out.append([pts[j] for j in rng.permutation(5)])
+    return out
+
+
+def _form_at(ctx, coeffs, point):
+    """c0 x^2 + c1 y^2 + c2 z^2 + c3 xy + c4 xz + c5 yz, one scalar at a time."""
+    x, y, z = point
+    total = 0
+    for c, (u, v) in zip(coeffs, ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z))):
+        total = ctx.add(total, ctx.mul(c, ctx.mul(u, v)))
+    return total
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (3, 2)])
+def test_conic_through_against_scalar_oracle(p, n):
+    """Refused exactly when four of the five points are collinear (by the
+    incidence table); otherwise a form with leading coefficient 1 that
+    vanishes at all five points."""
+    ctx, plane = get_geometry(p, n)
+    rng = np.random.default_rng(p * 10 + n)
+    seen = {"refused": 0, "three collinear": 0, "fitted": 0}
+    for pts in _quintuples(plane, rng, 400):
+        if any(plane.collinear(four) for four in combinations(pts, 4)):
+            with pytest.raises(DegenerateConfiguration):
+                conic_through(plane, pts)
+            seen["refused"] += 1
+            continue
+        coeffs = conic_through(plane, pts).coeffs
+        assert next(c for c in coeffs if c != 0) == 1
+        assert [_form_at(ctx, coeffs, plane.coords(pt)) for pt in pts] == [0] * 5
+        seen["three collinear" if plane.has_three_collinear(pts) else "fitted"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_conic_through_is_the_one_conic_of_a_brute_force_search():
+    """At q = 3, of all 9^6 forms exactly 8 nonzero ones (the scalar
+    multiples of one conic) vanish at the five points, and the one with
+    leading coefficient 1 is conic_through's."""
+    ctx, plane = get_geometry(3, 1)
+    add, mul = ctx.add_t, ctx.mul_t
+    every_form = np.indices((ctx.q2,) * 6, dtype=np.int32).reshape(6, -1).T[1:]  # all but 0
+    rng = np.random.default_rng(7)
+    quintuples = [rng.choice(plane.size, 5, replace=False).tolist() for _ in range(40)]
+    quintuples = [q for q in quintuples
+                  if not any(plane.collinear(four) for four in combinations(q, 4))]
+    collinear3 = [q for q in quintuples if plane.has_three_collinear(q)]
+    chosen = [q for q in quintuples if not plane.has_three_collinear(q)][:3] + collinear3[:1]
+    assert len(chosen) == 4
+    for pts in chosen:
+        forms = every_form
+        for pt in pts:
+            x, y, z = plane.coords(pt)
+            monomials = [mul[u, v] for u, v in ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z))]
+            value = mul[forms[:, 0], monomials[0]]
+            for col in range(1, 6):
+                value = add[value, mul[forms[:, col], monomials[col]]]
+            forms = forms[value == 0]
+        assert len(forms) == ctx.q2 - 1
+        leads = forms[np.arange(len(forms)), (forms != 0).argmax(axis=1)]
+        (canonical,) = forms[leads == 1]
+        assert tuple(canonical.tolist()) == conic_through(plane, pts).coeffs
+
+
 def test_arc_in_conic():
     ctx, plane = get_geometry(5, 1)
     parabola = [plane.point_id(t, ctx.mul(t, t), 1) for t in ctx.elements()]
