@@ -4,7 +4,7 @@ reports, and open-problem scanners.
     unital-lab verify --p P [--n N] [--w W] [--alpha A] [--beta B] [--jobs K]
     unital-lab scan   --p P [--n N] [--w W] [--alpha A] [--beta B] [--jobs K]
                       --problem NAME
-    unital-lab pedal|census --p P [--n N] [--w W] --alpha A --beta B
+    unital-lab pedal  --p P [--n N] [--w W] --alpha A --beta B
                       (--lambda {1,w} | --point X,Y,Z)
     unital-lab orbit  --p P [--n N] [--w W] --alpha A --beta B --lambda {1,w}
 
@@ -179,7 +179,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     return _report("verify", ctx, args, _sweep(args, _pair_list(ctx, args), _verify_pair))
 
 
-# -- pedal / census / orbit --------------------------------------------------------
+# -- pedal / orbit ---------------------------------------------------------------------
 
 
 def _lambdas(ctx) -> tuple[tuple[str, int], ...]:
@@ -194,21 +194,10 @@ def _single_tuple(args):
 
 
 def _single_report(args, ctx, model, fields: dict) -> tuple[dict, int]:
-    """The one-record report of pedal, census and orbit: the tuple's record
-    base followed by the command's fields."""
+    """The one-record report of pedal and orbit: the tuple's record base
+    followed by the command's fields."""
     rec = {**_record_base(ctx, model.params.alpha, model.params.beta), **fields}
     return _report(args.command, ctx, args, [rec])
-
-
-def _resolve_base(ctx, plane, model, args):
-    """(base point id, its (label, lambda) or None) from --lambda / --point."""
-    if args.lam is not None:
-        lam = dict(_lambdas(ctx))[args.lam]
-        return canonical_base_point(model, lam), (args.lam, lam)
-    base = plane.parse_point(args.point)
-    # a --point naming the canonical base still gets the closed-form frame
-    frames = (frame for frame in _lambdas(ctx) if base == canonical_base_point(model, frame[1]))
-    return base, next(frames, None)
 
 
 def _arc_report(model, pedal) -> dict:
@@ -225,7 +214,11 @@ def _arc_report(model, pedal) -> dict:
     }
 
 
-def _pedal_payload(ctx, plane, model, base, frame) -> dict:
+def _pedal_payload(ctx, plane, model, base) -> dict:
+    """The pedal fields of one base point.  A base that is a canonical base
+    [0, lambda*e, 1], however it was named, gets the closed-form frame."""
+    frames = (frame for frame in _lambdas(ctx) if base == canonical_base_point(model, frame[1]))
+    frame = next(frames, None)
     rec: dict = {"base_point": plane.format_point(base)}
     brute = feet_of(model, base)
     rec["feet"] = [plane.format_point(PointId(f)) for f in brute.feet]
@@ -252,15 +245,11 @@ def _pedal_payload(ctx, plane, model, base, frame) -> dict:
 
 def cmd_pedal(args) -> tuple[dict, int]:
     ctx, plane, model = _single_tuple(args)
-    base, frame = _resolve_base(ctx, plane, model, args)
-    return _single_report(args, ctx, model, _pedal_payload(ctx, plane, model, base, frame))
-
-
-def cmd_census(args) -> tuple[dict, int]:
-    ctx, plane, model = _single_tuple(args)
-    base, _ = _resolve_base(ctx, plane, model, args)
-    census = line_pedal_census(model, feet_of(model, base))
-    return _single_report(args, ctx, model, census.as_json_dict(base=base))
+    if args.lam is not None:
+        base = canonical_base_point(model, dict(_lambdas(ctx))[args.lam])
+    else:
+        base = plane.parse_point(args.point)
+    return _single_report(args, ctx, model, _pedal_payload(ctx, plane, model, base))
 
 
 def cmd_orbit(args) -> tuple[dict, int]:
@@ -472,7 +461,6 @@ def _emit(report: dict, args) -> None:
 _COMMANDS = {
     "verify": cmd_verify,
     "pedal": cmd_pedal,
-    "census": cmd_census,
     "orbit": cmd_orbit,
     "scan": cmd_scan,
 }
@@ -499,7 +487,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     for name, blurb in (
         ("verify", "build every requested unital and run the structural checks"),
         ("pedal", "feet, census, trace classes and arcs for one external point"),
-        ("census", "line-pedal intersection census for one external point"),
         ("orbit", "elation orbit of a canonical pedal, partition lines, census"),
         ("scan", "open-problem scanners over all valid parameter pairs"),
     ):

@@ -90,9 +90,11 @@ class IntersectionCensus:
                 self._witnesses[size] = list(zip(lines.tolist(), map(tuple, pts.tolist())))
         return self._witnesses
 
-    def as_json_dict(self, base: PointId | None = None) -> dict:
+    def as_json_dict(self) -> dict:
+        """The histogram with string keys and the witnesses as
+        ``[line, [points]]`` pairs, sizes ascending."""
         plane = self.plane
-        out = {
+        return {
             "histogram": {str(size): count for size, count in sorted(self.histogram.items())},
             "witnesses": [
                 [plane.format_line(LineId(line)), [plane.format_point(PointId(p)) for p in pts]]
@@ -100,9 +102,6 @@ class IntersectionCensus:
                 for line, pts in self.witnesses[size]
             ],
         }
-        if base is not None:
-            out = {"base_point": plane.format_point(base), **out}
-        return out
 
 
 def _require_external(U: UnitalModel, points) -> None:

@@ -158,6 +158,33 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        id="pedal-frame-first-lambda-only",
+        path="unital_lab/cli.py",
+        old="for frame in _lambdas(ctx) if base == canonical_base_point(",
+        new="for frame in _lambdas(ctx)[:1] if base == canonical_base_point(",
+        tests=(
+            "tests/test_cli.py::test_pedal_point_route_matches_lambda[3-1+e-0-w-0,e*2,1]",
+            "tests/test_cli.py::test_pedal_point_route_matches_lambda[5-1-e-w-0,e*2,1]",
+            "tests/test_golden_reports.py::test_report_bytes_match_golden_digest"
+            "[pedal --p 3 --n 1 --alpha 1+e --beta 0 --lambda w]",
+            "tests/test_golden_reports.py::test_report_bytes_match_golden_digest"
+            "[pedal --p 5 --n 1 --alpha 1 --beta e --lambda w]",
+        ),
+    ),
+    Mutant(
+        id="pedal-census-witnesses-dropped",
+        path="unital_lab/pedals.py",
+        old="for size in sorted(self.witnesses)\n",
+        new="for size in sorted(self.witnesses) if size > 4\n",
+        tests=(
+            "tests/test_cli.py::test_pedal_census_schema",
+            "tests/test_golden_reports.py::test_report_bytes_match_golden_digest"
+            "[pedal --p 3 --n 1 --alpha 1+e --beta 0 --lambda 1]",
+            "tests/test_golden_reports.py::test_report_bytes_match_golden_digest"
+            "[pedal --p 5 --n 1 --alpha 1 --beta e --point 1,1,1]",
+        ),
+    ),
+    Mutant(
         id="refused-flag-top-level-usage",
         path="unital_lab/cli.py",
         old="_COMMAND_PARSERS[args.command].error(",

@@ -84,25 +84,30 @@ def test_pedal_lambda_route(capsys):
     (rec,) = report["records"]
     assert len(rec["feet"]) == 4
     assert rec["collinear"] is False
-    assert rec["census"]["histogram"] == {"0": "57", "1": "28", "2": "6"} or rec["census"][
-        "histogram"
-    ] == {"0": 57, "1": 28, "2": 6}
+    assert rec["census"]["histogram"] == {"0": 57, "1": 28, "2": 6}
     assert rec["arc_report"]["parts"] == [4, 0]
     assert rec["arc_report"]["single_arc"] is True
     assert "trace_classes" in rec and "foot_params" in rec
 
 
-def test_pedal_point_route_matches_lambda(capsys):
-    code1, rep1 = run_json(
-        ["pedal", "--p", "3", "--n", "1", "--alpha", "1+e", "--beta", "0", "--lambda", "w"],
-        capsys,
-    )
-    code2, rep2 = run_json(
-        ["pedal", "--p", "3", "--n", "1", "--alpha", "1+e", "--beta", "0", "--point", "0,e*2,1"],
-        capsys,
-    )
+@pytest.mark.parametrize(
+    "p, alpha, beta, label, point",
+    [
+        ("3", "1+e", "0", "1", "0,e,1"),
+        ("3", "1+e", "0", "w", "0,e*2,1"),
+        ("5", "1", "e", "w", "0,e*2,1"),
+    ],
+)
+def test_pedal_point_route_matches_lambda(p, alpha, beta, label, point, capsys):
+    # a --point naming the canonical base [0, lambda*e, 1] gets the same
+    # record, closed-form frame included, as --lambda
+    pedal = ["pedal", "--p", p, "--alpha", alpha, "--beta", beta]
+    code1, rep1 = run_json([*pedal, "--lambda", label], capsys)
+    code2, rep2 = run_json([*pedal, "--point", point], capsys)
     assert code1 == code2 == 0
-    assert rep1["records"][0]["feet"] == rep2["records"][0]["feet"]
+    (rec,) = rep1["records"]
+    assert rep2["records"] == [rec]
+    assert rec["lambda"] == label and rec["foot_params"] and rec["trace_classes"]
 
 
 def test_pedal_point_on_infinity_line(capsys):
@@ -124,27 +129,31 @@ def test_pedal_point_on_unital_is_domain_error(capsys):
     assert code == 1 and out == ""
 
 
-@pytest.mark.parametrize("command", ["pedal", "census"])
 @pytest.mark.parametrize("point", ["0,1,0", "0,0,1"])
-def test_a_point_on_the_unital_is_refused_by_name(command, point, capsys):
-    code = cli.main([command, "--p", "3", "--n", "1", "--alpha", "1+e", "--beta", "0",
+def test_a_point_on_the_unital_is_refused_by_name(point, capsys):
+    code = cli.main(["pedal", "--p", "3", "--n", "1", "--alpha", "1+e", "--beta", "0",
                      "--point", point])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert f"[{point}] lies on the unital" in captured.err
 
 
-def test_census_schema(capsys):
+def test_pedal_census_schema(capsys):
     code, report = run_json(
-        ["census", "--p", "3", "--n", "1", "--alpha", "1+e", "--beta", "0", "--lambda", "1"],
+        ["pedal", "--p", "3", "--n", "1", "--alpha", "1+e", "--beta", "0", "--lambda", "1"],
         capsys,
     )
     assert code == 0
     (rec,) = report["records"]
-    assert set(rec) >= {"base_point", "histogram", "witnesses"}
-    assert sum(int(v) for v in rec["histogram"].values()) == 91
-    for line, pts in rec["witnesses"]:
-        assert isinstance(line, str) and isinstance(pts, list)
+    assert rec["base_point"] == "[0,1,e*2]"  # [0, e, 1] in its printed form
+    census = rec["census"]
+    assert set(census) == {"histogram", "witnesses"}
+    assert sum(census["histogram"].values()) == 91
+    # one witness per line meeting the feet in two or more points
+    witnessed = sum(c for s, c in census["histogram"].items() if int(s) >= 2)
+    assert len(census["witnesses"]) == witnessed
+    for line, pts in census["witnesses"]:
+        assert isinstance(line, str) and len(pts) >= 2 and set(pts) <= set(rec["feet"])
 
 
 def test_orbit_schema(capsys):
@@ -253,7 +262,7 @@ def test_commands_share_one_context(capsys):
     assert run_cli(pedal, capsys)[0] == 0
     plane = cli._WORKER["plane"]
     assert run_cli(pedal, capsys)[0] == 0
-    assert run_cli(["census", *pedal[1:]], capsys)[0] == 0
+    assert run_cli(["orbit", *pedal[1:]], capsys)[0] == 0
     assert run_cli(["verify", *pedal[1:-2]], capsys)[0] == 0
     assert cli._WORKER["plane"] is plane
     assert run_cli([*pedal, "--w", "2"], capsys)[0] == 0  # another requested triple
@@ -333,10 +342,23 @@ def test_out_write_error_is_one_error_line(tmp_path, capsys, monkeypatch):
     assert f"--out {target}: Permission denied" in err
 
 
-def test_census_of_a_classical_unital_is_a_usage_error(capsys):
-    census = ["census", "--p", "3", "--alpha", "0", "--beta", "e", "--lambda", "1"]
-    err = _refused(census, capsys)
-    assert "this operation requires an OBM unital with alpha != 0" in err
+def test_pedal_of_a_classical_unital_reports_collinear_feet_without_a_census(capsys):
+    code, report = run_json(
+        ["pedal", "--p", "3", "--alpha", "0", "--beta", "e", "--lambda", "1"], capsys
+    )
+    assert code == 0
+    (rec,) = report["records"]
+    assert rec["collinear"] is True and len(rec["feet"]) == 4
+    assert "census" not in rec
+
+
+def test_a_removed_command_is_a_usage_error(capsys):
+    code = cli.main(["census", "--p", "3", "--alpha", "1+e", "--beta", "0", "--lambda", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: unital-lab [-h] {verify,pedal,orbit,scan}")
+    assert lines[-1].startswith("unital-lab: error: argument command: invalid choice: 'census'")
 
 
 def test_scan_of_a_named_pair_that_is_no_unital_is_a_usage_error(capsys):
@@ -356,7 +378,7 @@ def test_scan_of_rows_without_a_nonclassical_unital_is_an_empty_report(args, cap
     assert report["summary"] == {"pass": 0, "fail": 0, "skipped": 0, "tuples": 0}
 
 
-@pytest.mark.parametrize("command", ["pedal", "census", "orbit"])
+@pytest.mark.parametrize("command", ["pedal", "orbit"])
 def test_lambda_and_point_on_the_command_line_are_a_usage_error(command, capsys):
     args = [command, "--p", "3", "--alpha", "1+e", "--beta", "0", "--lambda", "1"]
     err = _usage_error([*args, "--point", "1,1,1"], capsys)
@@ -393,15 +415,14 @@ _VALID_CALLS = {
     "scan": ["scan", "--p", "3", "--problem", "conics"],
     **{
         name: [name, "--p", "3", "--alpha", "1+e", "--beta", "0", "--lambda", "1"]
-        for name in ("pedal", "census", "orbit")
+        for name in ("pedal", "orbit")
     },
 }
-# The 55 (command, flag) pairs less these 12 leave 43 that a command takes.
+# The 44 (command, flag) pairs less these 10 leave 34 that a command takes.
 _UNDECLARED = {
     "verify": ("--lambda", "--point", "--problem"),
     "scan": ("--lambda", "--point"),
     "pedal": ("--problem", "--jobs"),
-    "census": ("--problem", "--jobs"),
     "orbit": ("--point", "--problem", "--jobs"),
 }
 _FLAG_VALUES = {"--lambda": "1", "--point": "1,1,1", "--problem": "conics", "--jobs": "1"}

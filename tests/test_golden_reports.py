@@ -11,6 +11,7 @@ passing keeps every covered report identical.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -29,10 +30,6 @@ GOLDEN = {
         "59b0317d935628ef931519443b611a57a645ee2bb784f3ff30d5fb9e2be9f40c",
     "pedal --p 3 --n 1 --alpha 1+e --beta 0 --point 1,1,1":
         "0c7732057228c455c8fe98c3a422e85216a5425f8a45ae3da089a061706a2d07",
-    "census --p 3 --n 1 --alpha 1+e --beta 0 --lambda 1":
-        "e19e766af2cdefe3da0f0d59fcd83257a71c87fa96116333719af62e1613c7d1",
-    "census --p 3 --n 1 --alpha 1+e --beta 0 --point 1,1,1":
-        "84709f29fccb63e84c0fc5f015c995d4f1c1da624b94fec18e78f9931684c8c5",
     "orbit --p 3 --n 1 --alpha 1+e --beta 0 --lambda 1":
         "81fa94ba26d34b70ce97db08d01c671753e7f2a6878084cd0be05e4b7b7343dd",
     "scan --p 3 --n 1 --problem four-lines":
@@ -49,14 +46,10 @@ GOLDEN = {
         "c9387205dce4c1705eef15c4ba5dbd43a0da1db23183aa5523f8064e98666ec6",
     "pedal --p 5 --n 1 --alpha 1 --beta e --lambda w":
         "e7f126ee2582089d2d1f94a66ebedd16d183973a2436386a16f507c554beec4a",
-    "census --p 5 --n 1 --alpha 1 --beta e --lambda w":
-        "b80dfa9b118b8780c0d9f66c544f66a1afd1baa412132a02ae0a9bfbf75fbc47",
     "orbit --p 5 --n 1 --alpha 1 --beta e --lambda w":
         "4d4016b4c1c3ac23285c55cb909a17476323630359c19ee30b3fd9e705f32d7a",
     "pedal --p 5 --n 1 --alpha 1 --beta e --point 1,1,1":
         "e5b33ae36f83fce150753c423918b1c30b07535decc6a281af0fe79f2a8926c8",
-    "census --p 5 --n 1 --alpha 1 --beta e --point 1,1,1":
-        "7eea667de556b7d6e0720a001c6c062d0a0e971b63aec7e0068cf032cb0f1057",
     "scan --p 5 --n 1 --alpha 1 --problem conics":
         "77e4b165ce8469f3985f4352b4a566c16bc91360351c5c293d8277e42c92b098",
     "scan --p 5 --n 1 --alpha 1 --problem orbit-census":
@@ -94,3 +87,30 @@ def test_report_bytes_match_golden_digest(command, capsys):
     assert cli.main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[command]
+
+
+# Digests of the deleted ``census`` command's stdout.  Its record was the
+# record base, ``base_point`` and the census fields, all of which ``pedal``
+# carries, so re-cutting a pedal report to that record must give these bytes.
+FORMER_CENSUS = {
+    "--p 3 --n 1 --alpha 1+e --beta 0 --lambda 1":
+        "e19e766af2cdefe3da0f0d59fcd83257a71c87fa96116333719af62e1613c7d1",
+    "--p 3 --n 1 --alpha 1+e --beta 0 --point 1,1,1":
+        "84709f29fccb63e84c0fc5f015c995d4f1c1da624b94fec18e78f9931684c8c5",
+    "--p 5 --n 1 --alpha 1 --beta e --lambda w":
+        "b80dfa9b118b8780c0d9f66c544f66a1afd1baa412132a02ae0a9bfbf75fbc47",
+    "--p 5 --n 1 --alpha 1 --beta e --point 1,1,1":
+        "7eea667de556b7d6e0720a001c6c062d0a0e971b63aec7e0068cf032cb0f1057",
+}
+_RECORD_BASE = ("tool_version", "p", "n", "w", "alpha", "beta", "base_point")
+
+
+@pytest.mark.parametrize("flags", sorted(FORMER_CENSUS))
+def test_pedal_census_field_reproduces_the_former_census_report(flags, capsys):
+    assert cli.main(["pedal", *flags.split()]) == 0
+    report = json.loads(capsys.readouterr().out)
+    (rec,) = report["records"]
+    report["command"] = "census"
+    report["records"] = [{**{key: rec[key] for key in _RECORD_BASE}, **rec["census"]}]
+    text = cli.render_report(report, "json")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FORMER_CENSUS[flags]

@@ -210,6 +210,10 @@ def test_census_rejects_bad_bases(q3_model):
     )
     with pytest.raises(ValueError):
         line_pedal_census(model, feet_of(model, on_inf))
+    classical = build_obm_unital(ctx, plane, validate_params(ctx, 0, ctx.eps))
+    base = canonical_base_point(classical, 1)
+    with pytest.raises(ValueError, match="requires an OBM unital with alpha != 0"):
+        line_pedal_census(classical, feet_of(classical, base))
 
 
 def test_beta_real_census_support_012(q3_model):
