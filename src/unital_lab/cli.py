@@ -24,6 +24,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import multiprocessing as mp
 import os
@@ -85,8 +86,8 @@ def _context(p: int, n: int, w: int | None):
 def _sweep(args, tuples: list, per_tuple) -> list:
     """Map per_tuple (tuple -> list of records) over the tuples, in-process
     or in a fork pool of min(--jobs, CPU count, tuple count) processes, and
-    return the records in tuple order.  Callers prime the worker context
-    first."""
+    return the records in tuple order.  A verify tuple is a class of pairs.
+    Callers prime the worker context first."""
     workers = min(max(1, args.jobs), os.cpu_count() or 1, len(tuples))
     if workers <= 1:
         parts = [per_tuple(t) for t in tuples]
@@ -127,42 +128,88 @@ def _tuple_records(check: str, params, fields_of) -> list:
         rec["beta_real"] = params.beta_real
         return [{**rec, **fields} for fields in fields_of(model)]
     except CheckFailure as exc:
-        rec.update(status="fail", check=check, error=f"{type(exc).__name__}: {exc}")
-        return [rec]
+        return _failed(rec, check, exc)
+
+
+def _failed(rec: dict, check: str, exc: CheckFailure) -> list:
+    """A tuple's single ``fail`` record: its record so far, the ``check`` that
+    failed and the exception."""
+    rec.update(status="fail", check=check, error=f"{type(exc).__name__}: {exc}")
+    return [rec]
 
 
 # -- verify ----------------------------------------------------------------------
 
 
-def _verify_pair(pair) -> list:
-    """The verify record of one pair; a failed build is check ``build``."""
-    ctx = _WORKER["ctx"]
-    try:
-        params = validate_params(ctx, *pair)
-    except InvalidUnitalParameters as exc:
+def _classes(ctx, pairs: list) -> list[list[tuple[int, int]]]:
+    """The pairs cut into classes: runs of consecutive pairs with one alpha and
+    one Im(beta), each a single point set (U_{alpha,beta+c} = U_{alpha,beta}
+    for c in GF(q))."""
+    runs = itertools.groupby(pairs, key=lambda pair: (pair[0], ctx.im(pair[1])))
+    return [list(run) for _, run in runs]
+
+
+def _verify_class(pairs) -> list:
+    """The verify records of one class, one per pair in order.  The first
+    member that builds is the reference: its line pass and its set checks
+    serve every member whose point set is checked equal to it.  A member
+    whose set differs fails check ``class_set``, a failed build check
+    ``build``."""
+    ctx, plane = _WORKER["ctx"], _WORKER["plane"]
+    records, ref = [], None
+    for pair in pairs:
         rec = _record_base(ctx, *pair)
-        rec.update(status="skipped: invalid (discriminant square)", discriminant=exc.discriminant)
-        return [rec]
-    return _tuple_records("build", params, _verify_checks)
+        try:
+            params = validate_params(ctx, *pair)
+        except InvalidUnitalParameters as exc:
+            rec.update(status="skipped: invalid (discriminant square)", discriminant=exc.discriminant)
+            records.append(rec)
+            continue
+        try:
+            model = build_obm_unital(ctx, plane, params)
+        except CheckFailure as exc:
+            records += _failed(rec, "build", exc)
+            continue
+        rec["beta_real"] = params.beta_real
+        if ref is None:
+            ref, set_checks = model, _set_checks(model)
+        else:
+            try:
+                model.share_line_stats(ref)
+            except StructuralViolation as exc:
+                records += _failed(rec, "class_set", exc)
+                continue
+        records.append({**rec, **_verify_checks(model, set_checks)})
+    return records
 
 
-def _verify_checks(model) -> list:
-    """The model's record fields, the structural checks and their status."""
+def _set_checks(model) -> tuple[dict, dict]:
+    """(record fields, checks) of verify that read only the point set, from
+    its line pass: the tangent and secant counts, the unital axiom, blocking
+    and minimality.  The members of a class share them."""
     ctx = model.ctx
-    rec = model.record()
-    checks = {}
-    checks["size"] = model.size == ctx.q**3 + 1
+    fields, checks = {}, {}
     try:
         hist = model.verify_unital_axiom()
         checks["unital_axiom"] = True
-        rec["tangent_lines"] = hist.get(1, 0)
-        rec["secant_lines"] = hist.get(ctx.q + 1, 0)
+        fields["tangent_lines"] = hist.get(1, 0)
+        fields["secant_lines"] = hist.get(ctx.q + 1, 0)
     except StructuralViolation:
         checks["unital_axiom"] = False
     blocking = model.verify_minimal_blocking_set()
     checks["blocking"] = blocking.blocking
     checks["minimal"] = blocking.minimal
-    checks["attains_bound"] = blocking.attains_bound
+    return fields, checks
+
+
+def _verify_checks(model, set_checks: tuple[dict, dict]) -> dict:
+    """The model's record fields and its set's, the set's checks with the
+    model's own size, bound and closed-form tangent checks, and their status."""
+    ctx = model.ctx
+    fields, checks = set_checks
+    rec = {**model.record(), **fields}
+    checks = {**checks, "size": model.size == ctx.q**3 + 1}
+    checks["attains_bound"] = model.verify_minimal_blocking_set().attains_bound
     pts, formula = model.tangent_lines_closed_form()
     try:
         ok = bool(np.array_equal(model.touch_points[formula], pts))
@@ -171,12 +218,13 @@ def _verify_checks(model) -> list:
     checks["tangent_formula_matches_oracle"] = ok
     rec["checks"] = checks
     rec["status"] = "pass" if all(checks.values()) else "fail"
-    return [rec]
+    return rec
 
 
 def cmd_verify(args) -> tuple[dict, int]:
     ctx, _ = _context(args.p, args.n, args.w)
-    return _report("verify", ctx, args, _sweep(args, _pair_list(ctx, args), _verify_pair))
+    classes = _classes(ctx, _pair_list(ctx, args))
+    return _report("verify", ctx, args, _sweep(args, classes, _verify_class))
 
 
 # -- pedal / orbit ---------------------------------------------------------------------

@@ -7,7 +7,9 @@ An OBM unital with parameters (alpha, beta) is the point set
 
 valid exactly when the discriminant 4*N(alpha) + (conj(beta) - beta)^2 is a
 non-square of GF(q).  alpha = 0 gives a classical unital; beta = conj(beta)
-marks the union-of-conics case.
+marks the union-of-conics case.  U_{alpha,beta} = U_{alpha,beta+c} for every
+c in GF(q), since c*N(x) lies in GF(q) and is absorbed by r; the
+discriminant reads beta only through conj(beta) - beta, so it agrees too.
 
 Models keep their points as sorted ids plus a boolean membership mask, so
 censuses reduce to numpy gathers over the plane's incidence array.
@@ -66,7 +68,9 @@ def valid_parameter_pairs(
     ``alpha``/``beta`` restrict the listing to that alpha row / beta column.
 
     The listing is exhaustive on purpose: no quotient by equivalences is
-    attempted, so a sweep cannot miss a case.
+    attempted, so a sweep cannot miss a case.  ``verify`` runs one line pass
+    for the pairs (alpha, beta + c), c in GF(q), which are one point set,
+    but every pair is still built and gets its own record.
     """
     codes = np.arange(ctx.q2, dtype=np.int32)
     disc = discriminant(ctx, codes[:, None], codes[None, :])
@@ -146,6 +150,14 @@ class UnitalModel:
                 touch[rows[np.arange(rows.shape[0]), flags.argmax(axis=1)]] = self.points
             self._line_stats = (counts, tangents, touch)
         return self._line_stats
+
+    def share_line_stats(self, other: "UnitalModel") -> None:
+        """Take other's line statistics, its line pass run once for both,
+        after checking that the two models are the same point set;
+        StructuralViolation if they are not."""
+        if not np.array_equal(self.mask, other.mask):
+            raise StructuralViolation(f"the point set of {self!r} differs from that of {other!r}")
+        self._line_stats = other._lines_pass()
 
     @property
     def line_counts(self) -> np.ndarray:

@@ -3,10 +3,14 @@ import pytest
 
 from unital_lab import (
     InternalConsistencyError,
+    InvalidUnitalParameters,
     ProjectivePlane,
     StructuralViolation,
     UnitalModel,
+    __version__,
     build_field_ctx,
+    build_obm_unital,
+    validate_params,
 )
 
 _CTX_CACHE = {}
@@ -96,6 +100,47 @@ def trace_level_line(model, lam, x) -> int:
     ctx = model.ctx
     t = ctx.trace(ctx.mul(model.params.alpha, ctx.mul(x, x)))
     return int(model.plane.line_id(0, ctx.neg(1), ctx.sub(t, ctx.pack(0, lam))))
+
+
+def verify_records_per_pair(ctx, plane, pairs) -> list:
+    """Oracle for the records of ``verify``: each pair is validated, built and
+    line-passed on its own, sharing nothing with any other pair."""
+    records = []
+    for alpha, beta in pairs:
+        rec = {
+            "tool_version": __version__,
+            "p": ctx.p,
+            "n": ctx.n,
+            "w": ctx.w,
+            "alpha": ctx.format_fq2(alpha),
+            "beta": ctx.format_fq2(beta),
+        }
+        records.append(rec)
+        try:
+            params = validate_params(ctx, alpha, beta)
+        except InvalidUnitalParameters as exc:
+            rec.update(status="skipped: invalid (discriminant square)", discriminant=exc.discriminant)
+            continue
+        model = build_obm_unital(ctx, plane, params)
+        rec.update(model.record())
+        counts = model.mask[plane.incidence].sum(axis=1)
+        sizes = set(counts.tolist())
+        checks = {"size": model.size == ctx.q**3 + 1, "unital_axiom": sizes <= {1, ctx.q + 1}}
+        if checks["unital_axiom"]:
+            rec.update(tangent_lines=int(np.sum(counts == 1)), secant_lines=int(np.sum(counts > 1)))
+        tangent = (counts == 1)[plane.incidence[model.points]]  # per point, per line through it
+        checks["blocking"] = bool(np.all(counts >= 1))
+        checks["minimal"] = checks["blocking"] and bool(np.all(tangent.any(axis=1)))
+        checks["attains_bound"] = checks["size"]
+        pts, lids = model.tangent_lines_closed_form()
+        lines = plane.incidence[pts]
+        flags = (counts == 1)[lines]
+        checks["tangent_formula_matches_oracle"] = bool(
+            np.all(flags.sum(axis=1) == 1)
+            and np.array_equal(lines[np.arange(pts.size), flags.argmax(axis=1)], lids)
+        )
+        rec.update(checks=checks, status="pass" if all(checks.values()) else "fail")
+    return records
 
 
 def build_hermitian(ctx, plane) -> UnitalModel:

@@ -1,6 +1,7 @@
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from unital_lab import (
@@ -9,12 +10,14 @@ from unital_lab import (
     InternalConsistencyError,
     StructuralViolation,
     TheoremViolation,
+    build_obm_unital,
     canonical_base_point,
     cli,
+    valid_parameter_pairs,
     validate_params,
 )
 
-from conftest import swapped_for_external
+from conftest import PN_BY_Q, swapped_for_external, verify_records_per_pair
 
 
 def run_cli(args, capsys):
@@ -57,17 +60,17 @@ def test_verify_sweep_reports_skipped_invalids(capsys):
 
 
 def test_verify_exit_2_when_a_check_fails(capsys, monkeypatch):
-    real = cli._verify_pair
+    real = cli._verify_class
 
-    def sabotaged(pair):
-        out = real(pair)
+    def sabotaged(pairs):
+        out = real(pairs)
         for rec in out:
             if rec.get("status") == "pass":
                 rec["checks"]["blocking"] = False
                 rec["status"] = "fail"
         return out
 
-    monkeypatch.setattr(cli, "_verify_pair", sabotaged)
+    monkeypatch.setattr(cli, "_verify_class", sabotaged)
     code, report = run_json(
         ["verify", "--p", "3", "--n", "1", "--alpha", "1+e", "--beta", "0"], capsys
     )
@@ -548,7 +551,7 @@ def test_verify_record_of_corrupted_model_fails_its_checks(monkeypatch):
     )
     cli._context(3, 1, None)
     ctx = cli._WORKER["ctx"]
-    (rec,) = cli._verify_pair((ctx.pack(1, 1), 0))
+    (rec,) = cli._verify_class([(ctx.pack(1, 1), 0)])
     assert rec["status"] == "fail"
     assert rec["checks"] == {
         "size": True,
@@ -634,3 +637,60 @@ def test_verify_records_a_failed_build_and_goes_on(capsys, monkeypatch):
             assert rec == ref
     passed = clean["summary"]["pass"] - 1
     assert report["summary"] == {**clean["summary"], "pass": passed, "fail": 1}
+
+
+def test_verify_fails_the_member_whose_set_differs_from_its_class(capsys, monkeypatch):
+    # (1+e, 1) is the second member of the class (1+e, Im 0), whose first
+    # member (1+e, 0) is its reference
+    verify = ["verify", "--p", "3", "--n", "1"]
+    code, clean = run_cli(verify, capsys)
+    assert code == 0
+    real = cli.build_obm_unital
+    tuple_of = lambda r: (r["alpha"], r["beta"])
+
+    def build_obm_unital(ctx, plane, params):
+        model = real(ctx, plane, params)
+        if (ctx.format_fq2(params.alpha), ctx.format_fq2(params.beta)) == ("1+e", "1"):
+            return swapped_for_external(model)
+        return model
+
+    monkeypatch.setattr(cli, "build_obm_unital", build_obm_unital)
+    code, out = run_cli(verify, capsys)
+    assert code == 2
+    assert run_cli([*verify, "--jobs", "8"], capsys) == (2, out)
+    clean, report = json.loads(clean), json.loads(out)
+    assert len(report["records"]) == len(clean["records"])
+    for rec, ref in zip(report["records"], clean["records"]):
+        if tuple_of(ref) == ("1+e", "1"):
+            assert rec == {
+                **{k: ref[k] for k in ("tool_version", "p", "n", "w", "alpha", "beta", "beta_real")},
+                "status": "fail",
+                "check": "class_set",
+                "error": "StructuralViolation: the point set of UnitalModel[obm(alpha=1+e, beta=1), "
+                "28 points] differs from that of UnitalModel[obm(alpha=1+e, beta=0), 28 points]",
+            }
+        else:
+            assert json.dumps(rec, sort_keys=True) == json.dumps(ref, sort_keys=True)
+    assert report["summary"] == {**clean["summary"], "pass": clean["summary"]["pass"] - 1, "fail": 1}
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_verify_equals_the_per_pair_route(q, geometry, capsys):
+    p, n = PN_BY_Q[q]
+    ctx, plane = geometry(p, n)
+    pairs = [(a, b) for a in range(ctx.q2) for b in range(ctx.q2)]
+    valid = {(par.alpha, par.beta): par for par in valid_parameter_pairs(ctx)}
+    classes = {}
+    for alpha, beta in pairs:
+        classes.setdefault((alpha, ctx.unpack(beta)[1]), []).append((alpha, beta))
+    for members in classes.values():
+        params = [valid[pair] for pair in members if pair in valid]
+        assert len(members) == q and len(params) in (0, q)
+        masks = [build_obm_unital(ctx, plane, par).mask for par in params]
+        assert all(np.array_equal(mask, masks[0]) for mask in masks[1:])
+    code, report = run_json(["verify", "--p", str(p), "--n", str(n)], capsys)
+    expected = json.loads(json.dumps(verify_records_per_pair(ctx, plane, pairs)))
+    assert len(report["records"]) == len(expected) == q**4
+    for rec, ref in zip(report["records"], expected):
+        assert rec == ref
+    assert code == 0
