@@ -86,8 +86,8 @@ def _context(p: int, n: int, w: int | None):
 def _sweep(args, tuples: list, per_tuple) -> list:
     """Map per_tuple (tuple -> list of records) over the tuples, in-process
     or in a fork pool of min(--jobs, CPU count, tuple count) processes, and
-    return the records in tuple order.  A verify tuple is a class of pairs.
-    Callers prime the worker context first."""
+    return the records in tuple order.  A tuple is a class of pairs.  Callers
+    prime the worker context first."""
     workers = min(max(1, args.jobs), os.cpu_count() or 1, len(tuples))
     if workers <= 1:
         parts = [per_tuple(t) for t in tuples]
@@ -116,29 +116,11 @@ def _record_base(ctx, alpha: int, beta: int) -> dict:
     }
 
 
-def _tuple_records(check: str, params, fields_of) -> list:
-    """The records of one valid tuple: its record base and ``beta_real``,
-    followed by each entry of fields_of(model).  A check that fails on the
-    way gives the tuple a single ``fail`` record naming ``check`` and the
-    exception, and the sweep goes on."""
-    ctx, plane = _WORKER["ctx"], _WORKER["plane"]
-    rec = _record_base(ctx, params.alpha, params.beta)
-    try:
-        model = build_obm_unital(ctx, plane, params)
-        rec["beta_real"] = params.beta_real
-        return [{**rec, **fields} for fields in fields_of(model)]
-    except CheckFailure as exc:
-        return _failed(rec, check, exc)
-
-
 def _failed(rec: dict, check: str, exc: CheckFailure) -> list:
-    """A tuple's single ``fail`` record: its record so far, the ``check`` that
+    """A pair's single ``fail`` record: its record so far, the ``check`` that
     failed and the exception."""
     rec.update(status="fail", check=check, error=f"{type(exc).__name__}: {exc}")
     return [rec]
-
-
-# -- verify ----------------------------------------------------------------------
 
 
 def _classes(ctx, pairs: list) -> list[list[tuple[int, int]]]:
@@ -149,12 +131,17 @@ def _classes(ctx, pairs: list) -> list[list[tuple[int, int]]]:
     return [list(run) for _, run in runs]
 
 
-def _verify_class(pairs) -> list:
-    """The verify records of one class, one per pair in order.  The first
-    member that builds is the reference: its line pass and its set checks
-    serve every member whose point set is checked equal to it.  A member
-    whose set differs fails check ``class_set``, a failed build check
-    ``build``."""
+def _class_records(check: str, shared, own, pairs) -> list:
+    """The records of one class, one per pair in order: the pair's record base
+    and ``beta_real``, followed by each entry of own(model, shared(ref)).
+
+    Every pair is validated and built on its own.  The first member that
+    builds is the reference, and shared runs once, on it; every other member
+    takes its result after ``UnitalModel.share_line_stats`` has checked that
+    its point set is the reference's.  An invalid pair is skipped with its
+    discriminant.  A failed build, or a failed shared, gives each member it
+    reaches a single ``fail`` record naming ``check``; a member whose set
+    differs fails check ``class_set``.  The sweep goes on either way."""
     ctx, plane = _WORKER["ctx"], _WORKER["plane"]
     records, ref = [], None
     for pair in pairs:
@@ -168,19 +155,35 @@ def _verify_class(pairs) -> list:
         try:
             model = build_obm_unital(ctx, plane, params)
         except CheckFailure as exc:
-            records += _failed(rec, "build", exc)
+            records += _failed(rec, check, exc)
             continue
         rec["beta_real"] = params.beta_real
         if ref is None:
-            ref, set_checks = model, _set_checks(model)
+            ref = model
+            try:
+                common = shared(ref)
+            except CheckFailure as exc:
+                common = exc
         else:
             try:
                 model.share_line_stats(ref)
             except StructuralViolation as exc:
                 records += _failed(rec, "class_set", exc)
                 continue
-        records.append({**rec, **_verify_checks(model, set_checks)})
+        if isinstance(common, CheckFailure):
+            records += _failed(rec, check, common)
+        else:
+            records += [{**rec, **fields} for fields in own(model, common)]
     return records
+
+
+# -- verify ----------------------------------------------------------------------
+
+
+def _verify_class(pairs) -> list:
+    """The verify records of one class: the set's checks once, each member's
+    own checks with them.  A failed build names check ``build``."""
+    return _class_records("build", _set_checks, _verify_checks, pairs)
 
 
 def _set_checks(model) -> tuple[dict, dict]:
@@ -202,9 +205,10 @@ def _set_checks(model) -> tuple[dict, dict]:
     return fields, checks
 
 
-def _verify_checks(model, set_checks: tuple[dict, dict]) -> dict:
-    """The model's record fields and its set's, the set's checks with the
-    model's own size, bound and closed-form tangent checks, and their status."""
+def _verify_checks(model, set_checks: tuple[dict, dict]) -> list[dict]:
+    """The model's one entry of record fields: its own and its set's, the
+    set's checks with the model's own size, bound and closed-form tangent
+    checks, and their status."""
     ctx = model.ctx
     fields, checks = set_checks
     rec = {**model.record(), **fields}
@@ -218,7 +222,7 @@ def _verify_checks(model, set_checks: tuple[dict, dict]) -> dict:
     checks["tangent_formula_matches_oracle"] = ok
     rec["checks"] = checks
     rec["status"] = "pass" if all(checks.values()) else "fail"
-    return rec
+    return [rec]
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -419,11 +423,13 @@ _SCANS = {
 }
 
 
-def _scan_tuple(problem: str, params) -> list:
-    """The scan records of one valid tuple; a failed check names the problem.
-    ``_SCANS`` is read here, in the worker, so the pool maps a picklable
-    partial of this function."""
-    return _tuple_records(problem, params, _SCANS[problem])
+def _scan_class(problem: str, pairs) -> list:
+    """The scan records of one class: the problem's fields once, on the
+    reference, copied into every member's records; a failed check names the
+    problem.  Every scan field reads the pair only through the point set and
+    beta - conj(beta), and both are one per class.  ``_SCANS`` is read here,
+    in the worker, so the pool maps a picklable partial of this function."""
+    return _class_records(problem, _SCANS[problem], lambda model, fields: fields, pairs)
 
 
 def cmd_scan(args) -> tuple[dict, int]:
@@ -433,7 +439,8 @@ def cmd_scan(args) -> tuple[dict, int]:
     if alpha is not None and beta is not None:
         validate_params(ctx, alpha, beta)  # a named tuple must be a unital, as for pedal
     tuples = valid_parameter_pairs(ctx, nonclassical_only=True, alpha=alpha, beta=beta)
-    records = _sweep(args, tuples, functools.partial(_scan_tuple, args.problem))
+    classes = _classes(ctx, [(params.alpha, params.beta) for params in tuples])
+    records = _sweep(args, classes, functools.partial(_scan_class, args.problem))
     return _report(f"scan:{args.problem}", ctx, args, records, tuples=len(tuples))
 
 

@@ -68,9 +68,10 @@ def valid_parameter_pairs(
     ``alpha``/``beta`` restrict the listing to that alpha row / beta column.
 
     The listing is exhaustive on purpose: no quotient by equivalences is
-    attempted, so a sweep cannot miss a case.  ``verify`` runs one line pass
-    for the pairs (alpha, beta + c), c in GF(q), which are one point set,
-    but every pair is still built and gets its own record.
+    attempted, so a sweep cannot miss a case.  ``verify`` and the scans do
+    their shared work once for the pairs (alpha, beta + c), c in GF(q),
+    which are one point set with one beta - conj(beta), but every pair is
+    still built and gets its own record.
     """
     codes = np.arange(ctx.q2, dtype=np.int32)
     disc = discriminant(ctx, codes[:, None], codes[None, :])

@@ -10,6 +10,7 @@ from unital_lab import (
     __version__,
     build_field_ctx,
     build_obm_unital,
+    cli,
     validate_params,
 )
 
@@ -102,19 +103,24 @@ def trace_level_line(model, lam, x) -> int:
     return int(model.plane.line_id(0, ctx.neg(1), ctx.sub(t, ctx.pack(0, lam))))
 
 
+def _record_base(ctx, alpha, beta) -> dict:
+    """The fields every sweep record opens with: the tool version and the pair."""
+    return {
+        "tool_version": __version__,
+        "p": ctx.p,
+        "n": ctx.n,
+        "w": ctx.w,
+        "alpha": ctx.format_fq2(alpha),
+        "beta": ctx.format_fq2(beta),
+    }
+
+
 def verify_records_per_pair(ctx, plane, pairs) -> list:
     """Oracle for the records of ``verify``: each pair is validated, built and
     line-passed on its own, sharing nothing with any other pair."""
     records = []
     for alpha, beta in pairs:
-        rec = {
-            "tool_version": __version__,
-            "p": ctx.p,
-            "n": ctx.n,
-            "w": ctx.w,
-            "alpha": ctx.format_fq2(alpha),
-            "beta": ctx.format_fq2(beta),
-        }
+        rec = _record_base(ctx, alpha, beta)
         records.append(rec)
         try:
             params = validate_params(ctx, alpha, beta)
@@ -140,6 +146,24 @@ def verify_records_per_pair(ctx, plane, pairs) -> list:
             and np.array_equal(lines[np.arange(pts.size), flags.argmax(axis=1)], lids)
         )
         rec.update(checks=checks, status="pass" if all(checks.values()) else "fail")
+    return records
+
+
+def scan_records_per_pair(problem, ctx, plane, pairs) -> list:
+    """Oracle for the records of ``scan --problem problem``: every valid
+    nonclassical pair is built on its own and the problem's kernel runs on
+    that model alone, sharing nothing with any other pair."""
+    records = []
+    for alpha, beta in pairs:
+        try:
+            params = validate_params(ctx, alpha, beta)
+        except InvalidUnitalParameters:
+            continue
+        if params.classical:
+            continue
+        rec = {**_record_base(ctx, alpha, beta), "beta_real": params.beta_real}
+        model = build_obm_unital(ctx, plane, params)
+        records += [{**rec, **fields} for fields in cli._SCANS[problem](model)]
     return records
 
 

@@ -14,10 +14,9 @@ from unital_lab import (
     canonical_base_point,
     cli,
     valid_parameter_pairs,
-    validate_params,
 )
 
-from conftest import PN_BY_Q, swapped_for_external, verify_records_per_pair
+from conftest import PN_BY_Q, scan_records_per_pair, swapped_for_external, verify_records_per_pair
 
 
 def run_cli(args, capsys):
@@ -500,16 +499,50 @@ def test_worker_count_clamped_to_cpus_and_chunks(tmp_path, capsys, monkeypatch):
         assert run_cli([*args, "--out", str(target)], capsys)[0] == 0
         return target.read_bytes()
 
+    # a pool item is a class (alpha, Im beta): the 12 tuples are 4 classes of 3
     reference = run([*scan, "--jobs", "1"], cpus=2)
     assert recorder.processes == []
-    assert run([*scan, "--jobs", "8"], cpus=2) == reference  # 12 tuples, 2 CPUs
+    assert run([*scan, "--jobs", "8"], cpus=2) == reference  # 4 classes, 2 CPUs
     assert recorder.processes == [2]
     assert run([*scan, "--jobs", "2"], cpus=None) == reference  # unknown CPU count: 1
     assert recorder.processes == [2]
-    run([*scan, "--alpha", "1+e", "--jobs", "8"], cpus=64)  # 3 tuples
-    assert recorder.processes == [2, 3]
+    assert run([*scan, "--jobs", "8"], cpus=64) == reference  # 4 classes
+    assert recorder.processes == [2, 4]
+    run([*scan, "--alpha", "1+e", "--jobs", "8"], cpus=64)  # 3 tuples, one class
+    assert recorder.processes == [2, 4]
     run([*scan, "--alpha", "1+e", "--beta", "0", "--jobs", "8"], cpus=64)  # one tuple
-    assert recorder.processes == [2, 3]
+    assert recorder.processes == [2, 4]
+
+
+def _class_of(model) -> tuple[str, int]:
+    """(alpha, Im beta) of a model: its class, which the scan kernels see
+    through the class's reference member only."""
+    ctx, params = model.ctx, model.params
+    return ctx.format_fq2(params.alpha), ctx.im(params.beta)
+
+
+def _record_class(ctx, rec) -> tuple[str, int]:
+    """(alpha, Im beta) of a record's pair."""
+    return rec["alpha"], ctx.im(ctx.parse_fq2(rec["beta"]))
+
+
+def _assert_class_failed(ctx, report, clean, broken, check, error):
+    """Every member of the broken class has one fail record naming its own
+    tuple, and every other record equals the clean run's."""
+    tuple_of = lambda r: (r["alpha"], r["beta"])
+    in_class = lambda r: _record_class(ctx, r) == broken
+    failed = [r for r in report["records"] if r.get("status") == "fail"]
+    members = list(dict.fromkeys(tuple_of(r) for r in clean["records"] if in_class(r)))
+    assert len(members) == 3  # q = 3 pairs (alpha, beta + c)
+    assert [tuple_of(r) for r in failed] == members
+    for fail in failed:
+        ref = next(r for r in clean["records"] if tuple_of(r) == tuple_of(fail))
+        base = {k: ref[k] for k in ("tool_version", "p", "n", "w", "alpha", "beta", "beta_real")}
+        assert fail == {**base, "status": "fail", "check": check, "error": error}
+    rest = [r for r in report["records"] if r.get("status") != "fail"]
+    assert rest == [r for r in clean["records"] if not in_class(r)]
+    assert {tuple_of(r) for r in clean["records"]} == {tuple_of(r) for r in report["records"]}
+    assert report["summary"] == {"pass": len(rest), "fail": 3, "skipped": 0, "tuples": 12}
 
 
 def test_scan_records_a_failed_tuple_and_goes_on(capsys, monkeypatch):
@@ -517,12 +550,11 @@ def test_scan_records_a_failed_tuple_and_goes_on(capsys, monkeypatch):
     code, clean = run_json(scan, capsys)
     assert code == 0
     real = cli._SCANS["conics"]
-    tuple_of = lambda r: (r["alpha"], r["beta"])
-    broken = tuple_of(clean["records"][4])
+    ctx = cli._WORKER["ctx"]
+    broken = _record_class(ctx, clean["records"][4])
 
     def conics(model):
-        ctx, params = model.ctx, model.params
-        if (ctx.format_fq2(params.alpha), ctx.format_fq2(params.beta)) == broken:
+        if _class_of(model) == broken:
             raise TheoremViolation("arc split failed")
         return real(model)
 
@@ -531,17 +563,8 @@ def test_scan_records_a_failed_tuple_and_goes_on(capsys, monkeypatch):
     assert code == 2
     # forked workers inherit the patched registry and keep tuple order
     assert run_cli([*scan, "--jobs", "8"], capsys) == (2, out)
-    report = json.loads(out)
-    failed = [r for r in report["records"] if r.get("status") == "fail"]
-    assert len(failed) == 1
-    (fail,) = failed
-    assert tuple_of(fail) == broken
-    assert fail["check"] == "conics"
-    assert fail["error"] == "TheoremViolation: arc split failed"
-    rest = [r for r in report["records"] if r.get("status") != "fail"]
-    assert rest == [r for r in clean["records"] if tuple_of(r) != broken]
-    assert {tuple_of(r) for r in clean["records"]} == {tuple_of(r) for r in report["records"]}
-    assert report["summary"] == {"pass": len(rest), "fail": 1, "skipped": 0, "tuples": 12}
+    error = "TheoremViolation: arc split failed"
+    _assert_class_failed(ctx, json.loads(out), clean, broken, "conics", error)
 
 
 def test_verify_record_of_corrupted_model_fails_its_checks(monkeypatch):
@@ -573,11 +596,14 @@ def test_four_lines_fails_a_tuple_whose_canonical_base_is_not_scanned(monkeypatc
     monkeypatch.setattr(cli, "_scan_bases", bases_without_lambda_1)
     cli._context(3, 1, None)
     ctx = cli._WORKER["ctx"]
-    (rec,) = cli._scan_tuple("four-lines", validate_params(ctx, ctx.pack(1, 1), 0))
-    assert rec["status"] == "fail" and rec["check"] == "four-lines"
-    assert rec["error"] == (
-        "InternalConsistencyError: a canonical base is not among the scanned bases"
-    )
+    members = [(ctx.pack(1, 1), beta) for beta in range(ctx.q)]  # the class (1+e, Im 0)
+    records = cli._scan_class("four-lines", members)
+    assert [rec["beta"] for rec in records] == ["0", "1", "2"]
+    for rec in records:
+        assert rec["status"] == "fail" and rec["check"] == "four-lines"
+        assert rec["error"] == (
+            "InternalConsistencyError: a canonical base is not among the scanned bases"
+        )
 
 
 def test_scan_records_an_inconsistent_tuple_and_goes_on(capsys, monkeypatch):
@@ -585,23 +611,19 @@ def test_scan_records_an_inconsistent_tuple_and_goes_on(capsys, monkeypatch):
     code, clean = run_json(scan, capsys)
     assert code == 0
     real = cli.feet_closed_form
-    tuple_of = lambda r: (r["alpha"], r["beta"])
-    broken = tuple_of(clean["records"][4])
+    ctx = cli._WORKER["ctx"]
+    broken = _record_class(ctx, clean["records"][4])
 
     def feet_closed_form(model, lam):
-        ctx, params = model.ctx, model.params
-        if (ctx.format_fq2(params.alpha), ctx.format_fq2(params.beta)) == broken:
+        if _class_of(model) == broken:
             raise InternalConsistencyError("closed-form feet are not all unital points")
         return real(model, lam)
 
     monkeypatch.setattr(cli, "feet_closed_form", feet_closed_form)
     code, report = run_json(scan, capsys)
     assert code == 2
-    (fail,) = [r for r in report["records"] if r.get("status") == "fail"]
-    assert tuple_of(fail) == broken and fail["check"] == "conics"
-    assert fail["error"] == "InternalConsistencyError: closed-form feet are not all unital points"
-    rest = [r for r in report["records"] if r.get("status") != "fail"]
-    assert rest == [r for r in clean["records"] if tuple_of(r) != broken]
+    error = "InternalConsistencyError: closed-form feet are not all unital points"
+    _assert_class_failed(ctx, report, clean, broken, "conics", error)
 
 
 def test_verify_records_a_failed_build_and_goes_on(capsys, monkeypatch):
@@ -639,11 +661,10 @@ def test_verify_records_a_failed_build_and_goes_on(capsys, monkeypatch):
     assert report["summary"] == {**clean["summary"], "pass": passed, "fail": 1}
 
 
-def test_verify_fails_the_member_whose_set_differs_from_its_class(capsys, monkeypatch):
+def _member_with_another_set_fails_class_set(argv, capsys, monkeypatch):
     # (1+e, 1) is the second member of the class (1+e, Im 0), whose first
     # member (1+e, 0) is its reference
-    verify = ["verify", "--p", "3", "--n", "1"]
-    code, clean = run_cli(verify, capsys)
+    code, clean = run_cli(argv, capsys)
     assert code == 0
     real = cli.build_obm_unital
     tuple_of = lambda r: (r["alpha"], r["beta"])
@@ -655,9 +676,9 @@ def test_verify_fails_the_member_whose_set_differs_from_its_class(capsys, monkey
         return model
 
     monkeypatch.setattr(cli, "build_obm_unital", build_obm_unital)
-    code, out = run_cli(verify, capsys)
+    code, out = run_cli(argv, capsys)
     assert code == 2
-    assert run_cli([*verify, "--jobs", "8"], capsys) == (2, out)
+    assert run_cli([*argv, "--jobs", "8"], capsys) == (2, out)
     clean, report = json.loads(clean), json.loads(out)
     assert len(report["records"]) == len(clean["records"])
     for rec, ref in zip(report["records"], clean["records"]):
@@ -672,6 +693,15 @@ def test_verify_fails_the_member_whose_set_differs_from_its_class(capsys, monkey
         else:
             assert json.dumps(rec, sort_keys=True) == json.dumps(ref, sort_keys=True)
     assert report["summary"] == {**clean["summary"], "pass": clean["summary"]["pass"] - 1, "fail": 1}
+
+
+def test_verify_fails_the_member_whose_set_differs_from_its_class(capsys, monkeypatch):
+    _member_with_another_set_fails_class_set(["verify", "--p", "3", "--n", "1"], capsys, monkeypatch)
+
+
+def test_scan_fails_the_member_whose_set_differs_from_its_class(capsys, monkeypatch):
+    scan = ["scan", "--p", "3", "--n", "1", "--problem", "four-lines"]
+    _member_with_another_set_fails_class_set(scan, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -691,6 +721,21 @@ def test_verify_equals_the_per_pair_route(q, geometry, capsys):
     code, report = run_json(["verify", "--p", str(p), "--n", str(n)], capsys)
     expected = json.loads(json.dumps(verify_records_per_pair(ctx, plane, pairs)))
     assert len(report["records"]) == len(expected) == q**4
+    for rec, ref in zip(report["records"], expected):
+        assert rec == ref
+    assert code == 0
+
+
+
+@pytest.mark.parametrize("problem", list(cli._SCANS))
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_scan_equals_the_per_pair_route(q, problem, geometry, capsys):
+    p, n = PN_BY_Q[q]
+    ctx, plane = geometry(p, n)
+    pairs = [(a, b) for a in range(ctx.q2) for b in range(ctx.q2)]
+    code, report = run_json(["scan", "--p", str(p), "--n", str(n), "--problem", problem], capsys)
+    expected = json.loads(json.dumps(scan_records_per_pair(problem, ctx, plane, pairs)))
+    assert len(report["records"]) == len(expected) > 0
     for rec, ref in zip(report["records"], expected):
         assert rec == ref
     assert code == 0
