@@ -137,8 +137,8 @@ def _class_records(check: str, shared, own, pairs) -> list:
 
     Every pair is validated and built on its own.  The first member that
     builds is the reference, and shared runs once, on it; every other member
-    takes its result after ``UnitalModel.share_line_stats`` has checked that
-    its point set is the reference's.  An invalid pair is skipped with its
+    takes its result once its mask equals the reference's, the one check of
+    U_{alpha,beta+c} = U_{alpha,beta}.  An invalid pair is skipped with its
     discriminant.  A failed build, or a failed shared, gives each member it
     reaches a single ``fail`` record naming ``check``; a member whose set
     differs fails check ``class_set``.  The sweep goes on either way."""
@@ -164,12 +164,10 @@ def _class_records(check: str, shared, own, pairs) -> list:
                 common = shared(ref)
             except CheckFailure as exc:
                 common = exc
-        else:
-            try:
-                model.share_line_stats(ref)
-            except StructuralViolation as exc:
-                records += _failed(rec, "class_set", exc)
-                continue
+        elif not np.array_equal(model.mask, ref.mask):
+            exc = StructuralViolation(f"the point set of {model!r} differs from that of {ref!r}")
+            records += _failed(rec, "class_set", exc)
+            continue
         if isinstance(common, CheckFailure):
             records += _failed(rec, check, common)
         else:
@@ -186,42 +184,43 @@ def _verify_class(pairs) -> list:
     return _class_records("build", _set_checks, _verify_checks, pairs)
 
 
-def _set_checks(model) -> tuple[dict, dict]:
-    """(record fields, checks) of verify that read only the point set, from
-    its line pass: the tangent and secant counts, the unital axiom, blocking
-    and minimality.  The members of a class share them."""
-    ctx = model.ctx
+def _set_checks(ref) -> tuple[dict, dict, np.ndarray | None]:
+    """(record fields, checks, touch array) of verify that read only the
+    point set, all from the reference's one line pass: the tangent and
+    secant counts; the unital axiom, blocking, minimality, size and bound;
+    the touch array, None when some point is not on exactly one tangent.
+    The members of a class share them."""
+    ctx = ref.ctx
     fields, checks = {}, {}
     try:
-        hist = model.verify_unital_axiom()
+        hist = ref.verify_unital_axiom()
         checks["unital_axiom"] = True
         fields["tangent_lines"] = hist.get(1, 0)
         fields["secant_lines"] = hist.get(ctx.q + 1, 0)
     except StructuralViolation:
         checks["unital_axiom"] = False
-    blocking = model.verify_minimal_blocking_set()
+    blocking = ref.verify_minimal_blocking_set()
     checks["blocking"] = blocking.blocking
     checks["minimal"] = blocking.minimal
-    return fields, checks
-
-
-def _verify_checks(model, set_checks: tuple[dict, dict]) -> list[dict]:
-    """The model's one entry of record fields: its own and its set's, the
-    set's checks with the model's own size, bound and closed-form tangent
-    checks, and their status."""
-    ctx = model.ctx
-    fields, checks = set_checks
-    rec = {**model.record(), **fields}
-    checks = {**checks, "size": model.size == ctx.q**3 + 1}
-    checks["attains_bound"] = model.verify_minimal_blocking_set().attains_bound
-    pts, formula = model.tangent_lines_closed_form()
+    # one predicate, |U| = q^3 + 1, under both keys of the report
+    checks["size"] = checks["attains_bound"] = blocking.attains_bound
     try:
-        ok = bool(np.array_equal(model.touch_points[formula], pts))
-    except StructuralViolation:  # some point lies on no or several tangents
-        ok = False
-    checks["tangent_formula_matches_oracle"] = ok
-    rec["checks"] = checks
-    rec["status"] = "pass" if all(checks.values()) else "fail"
+        touch = ref.touch_points
+    except StructuralViolation:
+        touch = None
+    return fields, checks, touch
+
+
+def _verify_checks(model, common: tuple[dict, dict, np.ndarray | None]) -> list[dict]:
+    """The model's one entry of record fields: its own and its set's, the
+    set's checks with the model's closed-form tangents checked against the
+    set's touch array, and their status."""
+    fields, checks, touch = common
+    rec = {**model.record(), **fields}
+    pts, formula = model.tangent_lines_closed_form()
+    ok = touch is not None and bool(np.array_equal(touch[formula], pts))
+    rec["checks"] = {**checks, "tangent_formula_matches_oracle": ok}
+    rec["status"] = "pass" if all(rec["checks"].values()) else "fail"
     return [rec]
 
 

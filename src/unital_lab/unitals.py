@@ -99,7 +99,8 @@ class UnitalModel:
 
     Construct through :func:`build_obm_unital`; the raw constructor exists
     so tests can fabricate other sets, corrupted ones among them.
-    Immutable after construction (caches excepted).
+    Immutable after construction, but for its own line pass, filled on
+    first read.
     """
 
     def __init__(self, ctx, plane, points, params=None, generators=None):
@@ -151,14 +152,6 @@ class UnitalModel:
                 touch[rows[np.arange(rows.shape[0]), flags.argmax(axis=1)]] = self.points
             self._line_stats = (counts, tangents, touch)
         return self._line_stats
-
-    def share_line_stats(self, other: "UnitalModel") -> None:
-        """Take other's line statistics, its line pass run once for both,
-        after checking that the two models are the same point set;
-        StructuralViolation if they are not."""
-        if not np.array_equal(self.mask, other.mask):
-            raise StructuralViolation(f"the point set of {self!r} differs from that of {other!r}")
-        self._line_stats = other._lines_pass()
 
     @property
     def line_counts(self) -> np.ndarray:

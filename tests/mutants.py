@@ -186,13 +186,12 @@ MUTANTS = (
     ),
     Mutant(
         id="class-identity-skipped",
-        path="unital_lab/unitals.py",
-        old="if not np.array_equal(self.mask, other.mask):",
-        new="if False:",
+        path="unital_lab/cli.py",
+        old="elif not np.array_equal(model.mask, ref.mask):",
+        new="elif False:",
         tests=(
             "tests/test_cli.py::test_verify_fails_the_member_whose_set_differs_from_its_class",
             "tests/test_cli.py::test_scan_fails_the_member_whose_set_differs_from_its_class",
-            "tests/test_unitals.py::test_share_line_stats_takes_an_equal_sets_line_pass_and_refuses_another",
         ),
     ),
     Mutant(

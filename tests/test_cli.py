@@ -10,6 +10,7 @@ from unital_lab import (
     InternalConsistencyError,
     StructuralViolation,
     TheoremViolation,
+    UnitalModel,
     build_obm_unital,
     canonical_base_point,
     cli,
@@ -567,23 +568,28 @@ def test_scan_records_a_failed_tuple_and_goes_on(capsys, monkeypatch):
     _assert_class_failed(ctx, json.loads(out), clean, broken, "conics", error)
 
 
-def test_verify_record_of_corrupted_model_fails_its_checks(monkeypatch):
+@pytest.mark.parametrize("betas", [(0,), (0, 1, 2)], ids=["pair", "class"])
+def test_verify_record_of_corrupted_model_fails_its_checks(betas, monkeypatch):
+    # every member of the class (1+e, Im 0) is swapped the same way, so the
+    # members share one corrupted set and read its touch array of None
     real = cli.build_obm_unital
     monkeypatch.setattr(
         cli, "build_obm_unital", lambda ctx, plane, params: swapped_for_external(real(ctx, plane, params))
     )
     cli._context(3, 1, None)
     ctx = cli._WORKER["ctx"]
-    (rec,) = cli._verify_class([(ctx.pack(1, 1), 0)])
-    assert rec["status"] == "fail"
-    assert rec["checks"] == {
-        "size": True,
-        "unital_axiom": False,
-        "blocking": False,  # the dropped point's tangent now misses the set
-        "minimal": False,
-        "attains_bound": True,
-        "tangent_formula_matches_oracle": False,
-    }
+    records = cli._verify_class([(ctx.pack(1, 1), beta) for beta in betas])
+    assert [rec["beta"] for rec in records] == [str(beta) for beta in betas]
+    for rec in records:
+        assert rec["status"] == "fail"
+        assert rec["checks"] == {
+            "size": True,
+            "unital_axiom": False,
+            "blocking": False,  # the dropped point's tangent now misses the set
+            "minimal": False,
+            "attains_bound": True,
+            "tangent_formula_matches_oracle": False,
+        }
 
 
 def test_four_lines_fails_a_tuple_whose_canonical_base_is_not_scanned(monkeypatch):
@@ -702,6 +708,31 @@ def test_verify_fails_the_member_whose_set_differs_from_its_class(capsys, monkey
 def test_scan_fails_the_member_whose_set_differs_from_its_class(capsys, monkeypatch):
     scan = ["scan", "--p", "3", "--n", "1", "--problem", "four-lines"]
     _member_with_another_set_fails_class_set(scan, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "argv, passes",
+    [
+        (["verify", "--p", "5", "--alpha", "1"], 2),
+        (["scan", "--p", "5", "--problem", "four-lines", "--alpha", "1"], 2),
+        (["scan", "--p", "5", "--problem", "conics", "--alpha", "1"], 0),  # reads no line count
+    ],
+)
+def test_a_sweep_runs_one_line_pass_per_class_that_reads_it(argv, passes, capsys, monkeypatch):
+    # the row alpha = 1 at q = 5 has two classes of five valid members
+    real = UnitalModel._lines_pass
+    fills = []
+
+    def counted(model):
+        if model._line_stats is None:
+            fills.append(model)
+        return real(model)
+
+    monkeypatch.setattr(UnitalModel, "_lines_pass", counted)
+    code, report = run_json([*argv, "--jobs", "1"], capsys)
+    assert code == 0  # no fail record
+    assert len({rec["beta"] for rec in report["records"] if "beta_real" in rec}) == 10
+    assert len(fills) == passes
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])

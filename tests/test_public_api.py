@@ -38,7 +38,7 @@ def test_package_exports_exactly_the_public_names():
 
 def test_classes_carry_no_test_only_members():
     assert _public_members(UnitalModel) == {
-        "classify_line", "generating_pair", "line_counts", "record", "share_line_stats", "size",
+        "classify_line", "generating_pair", "line_counts", "record", "size",
         "tangent_lines_closed_form", "touch_points", "verify_minimal_blocking_set",
         "verify_unital_axiom",
     }

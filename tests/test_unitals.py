@@ -281,19 +281,6 @@ def test_blocking_report_and_negative_control():
     assert int(broken.line_counts[model.infinity_line]) == 0
 
 
-def test_share_line_stats_takes_an_equal_sets_line_pass_and_refuses_another():
-    ctx, plane = get_geometry(3, 1)
-    ref, same, other = (
-        build_obm_unital(ctx, plane, validate_params(ctx, ctx.pack(1, 1), beta)) for beta in (0, 2, 1)
-    )
-    same.share_line_stats(ref)  # U_{alpha,beta+2} = U_{alpha,beta}
-    assert same.line_counts is ref.line_counts and same.touch_points is ref.touch_points
-    swapped = swapped_for_external(other)
-    with pytest.raises(StructuralViolation, match=re.escape("differs from that of " + repr(ref))):
-        swapped.share_line_stats(ref)
-    assert not np.array_equal(swapped.line_counts, ref.line_counts)  # its own line pass
-
-
 # -- the shared line pass against per-point arithmetic -----------------------------
 
 
