@@ -49,6 +49,8 @@ from .unitals import (
     UnitalParams,
     build_obm_unital,
     discriminant,
+    obm_point_ids,
+    unital_label,
     valid_parameter_pairs,
     validate_params,
 )

@@ -58,7 +58,7 @@ from .pedals import (
     two_arc_partition,
 )
 from .plane import LineId, PointId, ProjectivePlane
-from .unitals import build_obm_unital, valid_parameter_pairs, validate_params
+from .unitals import build_obm_unital, obm_point_ids, unital_label, valid_parameter_pairs, validate_params
 
 # Sweep caps: exhaustive external-point work only at desk scale.
 FULL_POINT_SWEEP_MAX_Q = 5
@@ -116,11 +116,9 @@ def _record_base(ctx, alpha: int, beta: int) -> dict:
     }
 
 
-def _failed(rec: dict, check: str, exc: CheckFailure) -> list:
-    """A pair's single ``fail`` record: its record so far, the ``check`` that
-    failed and the exception."""
+def _failed(rec: dict, check: str, exc: CheckFailure) -> None:
+    """Make a pair's record its one ``fail`` record, naming ``check`` and the exception."""
     rec.update(status="fail", check=check, error=f"{type(exc).__name__}: {exc}")
-    return [rec]
 
 
 def _classes(ctx, pairs: list) -> list[list[tuple[int, int]]]:
@@ -131,72 +129,70 @@ def _classes(ctx, pairs: list) -> list[list[tuple[int, int]]]:
     return [list(run) for _, run in runs]
 
 
-def _class_records(check: str, shared, own, pairs) -> list:
-    """The records of one class, one per pair in order: the pair's record base
-    and ``beta_real``, followed by each entry of own(model, shared(ref)).
+def _class_records(check: str, shared, pairs) -> list:
+    """The records of one class, in pair order: each pair's record base and
+    ``beta_real``, then each entry of shared(ref), or its one fail record.
+    An entry may read the pair only through the set and beta - conj(beta).
 
-    Every pair is validated and built on its own.  The first member that
-    builds is the reference, and shared runs once, on it; every other member
-    takes its result once its mask equals the reference's, the one check of
-    U_{alpha,beta+c} = U_{alpha,beta}.  An invalid pair is skipped with its
-    discriminant.  A failed build, or a failed shared, gives each member it
-    reaches a single ``fail`` record naming ``check``; a member whose set
-    differs fails check ``class_set``.  The sweep goes on either way."""
+    An invalid pair is skipped with its discriminant.  The first valid pair
+    that builds is the reference, the class's one model; a failed build
+    fails its pair with ``check``.  Each later valid pair is one row of one
+    batched gather: its sorted row must equal the reference's affine points,
+    the one check of U_{alpha,beta+c} = U_{alpha,beta}, else it fails
+    ``class_set``.  A failed shared fails the pair with ``check``."""
     ctx, plane = _WORKER["ctx"], _WORKER["plane"]
-    records, ref = [], None
+    parts, members, ref = [], [], None  # members: (records, params), the reference first
     for pair in pairs:
         rec = _record_base(ctx, *pair)
+        parts.append([rec])
         try:
             params = validate_params(ctx, *pair)
+            ref = ref or build_obm_unital(ctx, plane, params)
         except InvalidUnitalParameters as exc:
             rec.update(status="skipped: invalid (discriminant square)", discriminant=exc.discriminant)
-            records.append(rec)
             continue
-        try:
-            model = build_obm_unital(ctx, plane, params)
         except CheckFailure as exc:
-            records += _failed(rec, check, exc)
+            _failed(rec, check, exc)
             continue
-        rec["beta_real"] = params.beta_real
-        if ref is None:
-            ref = model
-            try:
-                common = shared(ref)
-            except CheckFailure as exc:
-                common = exc
-        elif not np.array_equal(model.mask, ref.mask):
-            exc = StructuralViolation(f"the point set of {model!r} differs from that of {ref!r}")
-            records += _failed(rec, "class_set", exc)
-            continue
-        if isinstance(common, CheckFailure):
-            records += _failed(rec, check, common)
-        else:
-            records += [{**rec, **fields} for fields in own(model, common)]
-    return records
+        members.append((parts[-1], params))
+    if ref is not None:
+        affine = ref.points[ref.points != ref.infinity_point]
+        later = obm_point_ids(ctx, plane, ref.params.alpha, [params.beta for _, params in members[1:]])
+        try:
+            entries = shared(ref)
+        except CheckFailure as exc:
+            entries = exc
+        for (part, params), row in zip(members, [affine, *np.sort(later, axis=1)]):
+            part[0]["beta_real"] = params.beta_real
+            if not np.array_equal(row, affine):
+                label = unital_label(ctx, params, np.unique(row).size + 1)
+                exc = StructuralViolation(f"the point set of {label} differs from that of {ref!r}")
+                _failed(part[0], "class_set", exc)
+            elif isinstance(entries, CheckFailure):
+                _failed(part[0], check, entries)
+            else:
+                part[:] = [{**part[0], **fields} for fields in entries]
+    return [rec for part in parts for rec in part]
 
 
 # -- verify ----------------------------------------------------------------------
 
 
 def _verify_class(pairs) -> list:
-    """The verify records of one class: the set's checks once, each member's
-    own checks with them.  A failed build names check ``build``."""
-    return _class_records("build", _set_checks, _verify_checks, pairs)
+    """The verify records of one class; a failed build names check ``build``."""
+    return _class_records("build", _set_checks, pairs)
 
 
-def _set_checks(ref) -> tuple[dict, dict, np.ndarray | None]:
-    """(record fields, checks, touch array) of verify that read only the
-    point set, all from the reference's one line pass: the tangent and
-    secant counts; the unital axiom, blocking, minimality, size and bound;
-    the touch array, None when some point is not on exactly one tangent.
-    The members of a class share them."""
-    ctx = ref.ctx
-    fields, checks = {}, {}
+def _set_checks(ref) -> list[dict]:
+    """Verify's one entry for a class, read from the reference alone: its
+    record fields, its line-pass fields and checks, its closed-form tangents
+    checked against its touch array, and their status."""
+    rec, checks = ref.record(), {}
     try:
         hist = ref.verify_unital_axiom()
         checks["unital_axiom"] = True
-        fields["tangent_lines"] = hist.get(1, 0)
-        fields["secant_lines"] = hist.get(ctx.q + 1, 0)
+        rec["tangent_lines"] = hist.get(1, 0)
+        rec["secant_lines"] = hist.get(ref.ctx.q + 1, 0)
     except StructuralViolation:
         checks["unital_axiom"] = False
     blocking = ref.verify_minimal_blocking_set()
@@ -204,24 +200,12 @@ def _set_checks(ref) -> tuple[dict, dict, np.ndarray | None]:
     checks["minimal"] = blocking.minimal
     # one predicate, |U| = q^3 + 1, under both keys of the report
     checks["size"] = checks["attains_bound"] = blocking.attains_bound
+    pts, formula = ref.tangent_lines_closed_form()
     try:
-        touch = ref.touch_points
-    except StructuralViolation:
-        touch = None
-    return fields, checks, touch
-
-
-def _verify_checks(model, common: tuple[dict, dict, np.ndarray | None]) -> list[dict]:
-    """The model's one entry of record fields: its own and its set's, the
-    set's checks with the model's closed-form tangents checked against the
-    set's touch array, and their status."""
-    fields, checks, touch = common
-    rec = {**model.record(), **fields}
-    pts, formula = model.tangent_lines_closed_form()
-    ok = touch is not None and bool(np.array_equal(touch[formula], pts))
-    rec["checks"] = {**checks, "tangent_formula_matches_oracle": ok}
-    rec["status"] = "pass" if all(rec["checks"].values()) else "fail"
-    return [rec]
+        checks["tangent_formula_matches_oracle"] = bool(np.array_equal(ref.touch_points[formula], pts))
+    except StructuralViolation:  # some point is not on exactly one tangent
+        checks["tangent_formula_matches_oracle"] = False
+    return [{**rec, "checks": checks, "status": "pass" if all(checks.values()) else "fail"}]
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -423,12 +407,10 @@ _SCANS = {
 
 
 def _scan_class(problem: str, pairs) -> list:
-    """The scan records of one class: the problem's fields once, on the
-    reference, copied into every member's records; a failed check names the
-    problem.  Every scan field reads the pair only through the point set and
-    beta - conj(beta), and both are one per class.  ``_SCANS`` is read here,
-    in the worker, so the pool maps a picklable partial of this function."""
-    return _class_records(problem, _SCANS[problem], lambda model, fields: fields, pairs)
+    """The scan records of one class; a failed check names the problem.
+    ``_SCANS`` is read here, in the worker, so the pool maps a picklable
+    partial of this function."""
+    return _class_records(problem, _SCANS[problem], pairs)
 
 
 def cmd_scan(args) -> tuple[dict, int]:

@@ -70,8 +70,8 @@ def valid_parameter_pairs(
     The listing is exhaustive on purpose: no quotient by equivalences is
     attempted, so a sweep cannot miss a case.  ``verify`` and the scans do
     their shared work once for the pairs (alpha, beta + c), c in GF(q),
-    which are one point set with one beta - conj(beta), but every pair is
-    still built and gets its own record.
+    which are one point set with one beta - conj(beta), but every pair's
+    points are still generated and compared, and it gets its own record.
     """
     codes = np.arange(ctx.q2, dtype=np.int32)
     disc = discriminant(ctx, codes[:, None], codes[None, :])
@@ -193,10 +193,11 @@ class UnitalModel:
         """(point ids, tangent line ids) for every unital point, vectorized
         through the closed form (the brute scan lives in the tests).
 
-        OBM at [x, alpha*x^2 + beta*N(x) + r, 1]:
+        OBM at [x, y, 1], y = alpha*x^2 + beta*N(x) + r:
             [-2*alpha*x + (conj(beta) - beta)*conj(x), 1,
-             alpha*x^2 - conj(beta)*N(x) - r]^t,
-        and the line at infinity at [0,1,0].
+             2*alpha*x^2 + (beta - conj(beta))*N(x) - y]^t,
+        whose third entry is alpha*x^2 - conj(beta)*N(x) - r; it reads beta
+        only through beta - conj(beta).  The line at infinity at [0,1,0].
         """
         ctx, plane = self.ctx, self.plane
         p = self.params
@@ -244,24 +245,39 @@ class UnitalModel:
         return rec
 
     def __repr__(self):
-        if self.params is None:
-            return f"UnitalModel[{self.size} points]"
-        alpha, beta = (self.ctx.format_fq2(c) for c in (self.params.alpha, self.params.beta))
-        return f"UnitalModel[obm(alpha={alpha}, beta={beta}), {self.size} points]"
+        return unital_label(self.ctx, self.params, self.size)
+
+
+def unital_label(ctx: FieldCtx, params: UnitalParams | None, size: int) -> str:
+    """How a set of ``size`` points with these parameters is named in messages."""
+    if params is None:
+        return f"UnitalModel[{size} points]"
+    alpha, beta = (ctx.format_fq2(c) for c in (params.alpha, params.beta))
+    return f"UnitalModel[obm(alpha={alpha}, beta={beta}), {size} points]"
+
+
+def _generators(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """(x codes, r codes) of every (x, r) in GF(q^2) x GF(q), x-major."""
+    return np.divmod(np.arange(ctx.q**3, dtype=np.int32), np.int32(ctx.q))
+
+
+def obm_point_ids(ctx: FieldCtx, plane: ProjectivePlane, alpha: int, betas) -> np.ndarray:
+    """The ids of [x, alpha*x^2 + beta*N(x) + r, 1], one row of q^3 per beta,
+    each in the x-major (x, r) order of a model's generators; one gather."""
+    X, R = _generators(ctx)
+    B = np.asarray(betas, dtype=np.int32)[:, None]
+    add, mul = ctx.add_t, ctx.mul_t
+    Y = add[add[mul[alpha, mul[X, X]], mul[B, ctx.norm_t[X]]], R]
+    return plane.point_ids_vec(X, Y, np.ones_like(X))
 
 
 def build_obm_unital(ctx: FieldCtx, plane: ProjectivePlane, params: UnitalParams) -> UnitalModel:
-    """All q^3 affine points [x, alpha*x^2 + beta*N(x) + r, 1] plus [0,1,0]."""
-    q, q2 = ctx.q, ctx.q2
-    X = np.repeat(np.arange(q2, dtype=np.int32), q)
-    R = np.tile(np.arange(q, dtype=np.int32), q2)
-    add, mul = ctx.add_t, ctx.mul_t
-    Y = add[add[mul[params.alpha, mul[X, X]], mul[params.beta, ctx.norm_t[X]]], R]
-    ids = plane.point_ids_vec(X, Y, np.ones_like(X))
-    points = np.concatenate([ids, [plane.infinity_point]])
-    model = UnitalModel(ctx, plane, points, params=params, generators=(ids, X, R))
+    """The q^3 affine points of :func:`obm_point_ids`, its one-row case, plus [0,1,0]."""
+    ids = obm_point_ids(ctx, plane, params.alpha, [params.beta])[0]
+    points = np.append(ids, plane.infinity_point)
+    model = UnitalModel(ctx, plane, points, params=params, generators=(ids, *_generators(ctx)))
     # [0,1,0] is no image of an affine (x, r), so only a collision loses points
-    expected = q**3 + 1
+    expected = ctx.q**3 + 1
     if model.size != expected:
         raise StructuralViolation(
             f"generating map (x, r) -> point is not injective: built {model.size} "

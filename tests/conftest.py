@@ -36,20 +36,26 @@ def get_geometry(p, n=1):
     return _PLANE_CACHE[key]
 
 
-def swapped_for_external(model) -> UnitalModel:
-    """A corrupted copy of an OBM model: its first affine point is replaced by
-    the first external point off that point's tangent line, so the set keeps
-    its size but the old tangent line meets it in no point.  Parameters and
-    generators are kept, so the closed-form tangents still describe the old
-    set."""
+def external_swap(model) -> tuple[int, int]:
+    """(dropped, added): the model's first affine point and the first external
+    point off that point's tangent line."""
     plane = model.plane
     dropped = int(model.points[0])
     tangent = tangent_line_brute(model, dropped)
     outside = ~model.mask
     outside[plane.points_on(tangent)] = False
-    added = int(np.flatnonzero(outside)[0])
+    return dropped, int(np.flatnonzero(outside)[0])
+
+
+def swapped_for_external(model) -> UnitalModel:
+    """A corrupted copy of an OBM model: its ``external_swap`` is applied, so
+    the set keeps its size but the old tangent line meets it in no point.
+    Parameters and generators are kept, so the closed-form tangents still
+    describe the old set."""
+    dropped, added = external_swap(model)
     points = np.append(model.points[model.points != dropped], added)
-    return UnitalModel(model.ctx, plane, points, params=model.params, generators=model.generators)
+    params, generators = model.params, model.generators
+    return UnitalModel(model.ctx, model.plane, points, params=params, generators=generators)
 
 
 # -- oracles: incidence, membership and field arithmetic only ----------------------

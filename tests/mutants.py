@@ -187,11 +187,12 @@ MUTANTS = (
     Mutant(
         id="class-identity-skipped",
         path="unital_lab/cli.py",
-        old="elif not np.array_equal(model.mask, ref.mask):",
-        new="elif False:",
+        old="if not np.array_equal(row, affine):",
+        new="if False:",
         tests=(
             "tests/test_cli.py::test_verify_fails_the_member_whose_set_differs_from_its_class",
             "tests/test_cli.py::test_scan_fails_the_member_whose_set_differs_from_its_class",
+            "tests/test_cli.py::test_verify_fails_a_later_member_whose_row_has_a_collision",
         ),
     ),
     Mutant(

@@ -15,9 +15,16 @@ from unital_lab import (
     canonical_base_point,
     cli,
     valid_parameter_pairs,
+    validate_params,
 )
 
-from conftest import PN_BY_Q, scan_records_per_pair, swapped_for_external, verify_records_per_pair
+from conftest import (
+    PN_BY_Q,
+    external_swap,
+    scan_records_per_pair,
+    swapped_for_external,
+    verify_records_per_pair,
+)
 
 
 def run_cli(args, capsys):
@@ -568,14 +575,36 @@ def test_scan_records_a_failed_tuple_and_goes_on(capsys, monkeypatch):
     _assert_class_failed(ctx, json.loads(out), clean, broken, "conics", error)
 
 
+def _corrupt_rows(monkeypatch, corrupt):
+    """Pass every row of the CLI's batched gather, in place, through
+    corrupt(ctx, alpha, beta, row)."""
+    real = cli.obm_point_ids
+
+    def obm_point_ids(ctx, plane, alpha, betas):
+        rows = real(ctx, plane, alpha, betas)
+        for beta, row in zip(betas, rows):
+            corrupt(ctx, alpha, beta, row)
+        return rows
+
+    monkeypatch.setattr(cli, "obm_point_ids", obm_point_ids)
+
+
+def _swap_row(ctx, alpha, beta, row):
+    """Apply its set's ``external_swap`` to a member's row."""
+    model = build_obm_unital(ctx, cli._WORKER["plane"], validate_params(ctx, alpha, beta))
+    dropped, added = external_swap(model)
+    row[row == dropped] = added
+
+
 @pytest.mark.parametrize("betas", [(0,), (0, 1, 2)], ids=["pair", "class"])
 def test_verify_record_of_corrupted_model_fails_its_checks(betas, monkeypatch):
-    # every member of the class (1+e, Im 0) is swapped the same way, so the
+    # the reference is swapped and so is every later member's row, so the
     # members share one corrupted set and read its touch array of None
     real = cli.build_obm_unital
     monkeypatch.setattr(
         cli, "build_obm_unital", lambda ctx, plane, params: swapped_for_external(real(ctx, plane, params))
     )
+    _corrupt_rows(monkeypatch, _swap_row)
     cli._context(3, 1, None)
     ctx = cli._WORKER["ctx"]
     records = cli._verify_class([(ctx.pack(1, 1), beta) for beta in betas])
@@ -667,21 +696,19 @@ def test_verify_records_a_failed_build_and_goes_on(capsys, monkeypatch):
     assert report["summary"] == {**clean["summary"], "pass": passed, "fail": 1}
 
 
-def _member_with_another_set_fails_class_set(argv, capsys, monkeypatch):
+def _member_with_another_set_fails_class_set(argv, capsys, monkeypatch, corrupt=_swap_row, size=28):
     # (1+e, 1) is the second member of the class (1+e, Im 0), whose first
-    # member (1+e, 0) is its reference
+    # member (1+e, 0) is its reference; its row of the batched gather is
+    # corrupted, and its set has ``size`` points
     code, clean = run_cli(argv, capsys)
     assert code == 0
-    real = cli.build_obm_unital
     tuple_of = lambda r: (r["alpha"], r["beta"])
 
-    def build_obm_unital(ctx, plane, params):
-        model = real(ctx, plane, params)
-        if (ctx.format_fq2(params.alpha), ctx.format_fq2(params.beta)) == ("1+e", "1"):
-            return swapped_for_external(model)
-        return model
+    def corrupt_member(ctx, alpha, beta, row):
+        if (ctx.format_fq2(alpha), ctx.format_fq2(beta)) == ("1+e", "1"):
+            corrupt(ctx, alpha, beta, row)
 
-    monkeypatch.setattr(cli, "build_obm_unital", build_obm_unital)
+    _corrupt_rows(monkeypatch, corrupt_member)
     code, out = run_cli(argv, capsys)
     assert code == 2
     assert run_cli([*argv, "--jobs", "8"], capsys) == (2, out)
@@ -694,7 +721,7 @@ def _member_with_another_set_fails_class_set(argv, capsys, monkeypatch):
                 "status": "fail",
                 "check": "class_set",
                 "error": "StructuralViolation: the point set of UnitalModel[obm(alpha=1+e, beta=1), "
-                "28 points] differs from that of UnitalModel[obm(alpha=1+e, beta=0), 28 points]",
+                f"{size} points] differs from that of UnitalModel[obm(alpha=1+e, beta=0), 28 points]",
             }
         else:
             assert json.dumps(rec, sort_keys=True) == json.dumps(ref, sort_keys=True)
@@ -710,6 +737,16 @@ def test_scan_fails_the_member_whose_set_differs_from_its_class(capsys, monkeypa
     _member_with_another_set_fails_class_set(scan, capsys, monkeypatch)
 
 
+def test_verify_fails_a_later_member_whose_row_has_a_collision(capsys, monkeypatch):
+    # two (x, r) of the member land on one point: 27 distinct affine points
+    # and [0,1,0]; the class check catches it, as build_obm_unital would
+    def collide(ctx, alpha, beta, row):
+        row[1] = row[0]
+
+    argv = ["verify", "--p", "3", "--n", "1"]
+    _member_with_another_set_fails_class_set(argv, capsys, monkeypatch, collide, size=27)
+
+
 @pytest.mark.parametrize(
     "argv, passes",
     [
@@ -719,20 +756,27 @@ def test_scan_fails_the_member_whose_set_differs_from_its_class(capsys, monkeypa
     ],
 )
 def test_a_sweep_runs_one_line_pass_per_class_that_reads_it(argv, passes, capsys, monkeypatch):
-    # the row alpha = 1 at q = 5 has two classes of five valid members
-    real = UnitalModel._lines_pass
-    fills = []
+    # the row alpha = 1 at q = 5 has two classes of five valid members, and
+    # each class builds one model, its reference
+    real, real_init = UnitalModel._lines_pass, UnitalModel.__init__
+    fills, models = [], []
 
     def counted(model):
         if model._line_stats is None:
             fills.append(model)
         return real(model)
 
+    def init(model, *args, **kwargs):
+        models.append(model)
+        real_init(model, *args, **kwargs)
+
     monkeypatch.setattr(UnitalModel, "_lines_pass", counted)
+    monkeypatch.setattr(UnitalModel, "__init__", init)
     code, report = run_json([*argv, "--jobs", "1"], capsys)
     assert code == 0  # no fail record
     assert len({rec["beta"] for rec in report["records"] if "beta_real" in rec}) == 10
     assert len(fills) == passes
+    assert len(models) == 2
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])

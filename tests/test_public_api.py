@@ -16,7 +16,7 @@ PACKAGE = {
     "FieldCtx", "build_field_ctx", "LineId", "PointId", "ProjectivePlane",
     # unitals
     "BlockingReport", "UnitalModel", "UnitalParams", "build_obm_unital", "discriminant",
-    "valid_parameter_pairs", "validate_params",
+    "obm_point_ids", "unital_label", "valid_parameter_pairs", "validate_params",
     # pedals
     "Conic", "ConicFitResult", "IntersectionCensus", "PedalSet", "arc_in_conic",
     "canonical_base_point", "conic_through", "feet_closed_form", "feet_of", "feet_of_many",

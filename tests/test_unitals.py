@@ -9,6 +9,7 @@ from unital_lab import (
     UnitalModel,
     build_obm_unital,
     discriminant,
+    obm_point_ids,
     valid_parameter_pairs,
     validate_params,
 )
@@ -143,14 +144,37 @@ def test_non_injective_generating_map_is_a_structural_violation(monkeypatch):
     ctx, plane = get_geometry(3, 1)
     real = plane.point_ids_vec
 
-    def collide(*coords):  # two generators land on one point
+    def collide(*coords):  # two generators of each row land on one point
         ids = real(*coords).copy()
-        ids[1] = ids[0]
+        ids[..., 1] = ids[..., 0]
         return ids
 
     monkeypatch.setattr(plane, "point_ids_vec", collide)
     with pytest.raises(StructuralViolation, match="not injective"):
         build_obm_unital(ctx, plane, validate_params(ctx, ctx.pack(1, 1), 0))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_the_members_of_a_class_share_their_points_and_tangents(q):
+    # U_{alpha,beta+c} = U_{alpha,beta}, and the closed-form tangent at a
+    # point reads beta only through beta - conj(beta): per class (alpha, Im
+    # beta), each member's batched row is its own build's generator ids, and
+    # its point -> tangent map is the first member's
+    ctx, plane = get_geometry(*PN_BY_Q[q])
+    classes = {}
+    for params in valid_parameter_pairs(ctx):
+        classes.setdefault((params.alpha, ctx.im(params.beta)), []).append(params)
+    for (alpha, _), members in classes.items():
+        assert len(members) == q
+        rows = obm_point_ids(ctx, plane, alpha, [params.beta for params in members])
+        assert rows.shape == (q, q**3)
+        tangents = []
+        for params, row in zip(members, rows):
+            model = build_obm_unital(ctx, plane, params)
+            assert np.array_equal(row, model.generators[0])
+            tangents.append(dict(zip(*(a.tolist() for a in model.tangent_lines_closed_form()))))
+        assert all(tangent == tangents[0] for tangent in tangents[1:])
+        assert len(tangents[0]) == q**3 + 1
 
 
 def test_hermitian_model():
