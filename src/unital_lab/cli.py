@@ -137,9 +137,10 @@ def _class_records(check: str, shared, pairs) -> list:
     An invalid pair is skipped with its discriminant.  The first valid pair
     that builds is the reference, the class's one model; a failed build
     fails its pair with ``check``.  Each later valid pair is one row of one
-    batched gather: its sorted row must equal the reference's affine points,
-    the one check of U_{alpha,beta+c} = U_{alpha,beta}, else it fails
-    ``class_set``.  A failed shared fails the pair with ``check``."""
+    batched gather, made only when the class has such a pair: its sorted row
+    must equal the reference's affine points, the one check of
+    U_{alpha,beta+c} = U_{alpha,beta}, else it fails ``class_set``.  A
+    failed shared fails the pair with ``check``."""
     ctx, plane = _WORKER["ctx"], _WORKER["plane"]
     parts, members, ref = [], [], None  # members: (records, params), the reference first
     for pair in pairs:
@@ -157,12 +158,13 @@ def _class_records(check: str, shared, pairs) -> list:
         members.append((parts[-1], params))
     if ref is not None:
         affine = ref.points[ref.points != ref.infinity_point]
-        later = obm_point_ids(ctx, plane, ref.params.alpha, [params.beta for _, params in members[1:]])
+        betas = [params.beta for _, params in members[1:]]
+        later = np.sort(obm_point_ids(ctx, plane, ref.params.alpha, betas), axis=1) if betas else []
         try:
             entries = shared(ref)
         except CheckFailure as exc:
             entries = exc
-        for (part, params), row in zip(members, [affine, *np.sort(later, axis=1)]):
+        for (part, params), row in zip(members, [affine, *later]):
             part[0]["beta_real"] = params.beta_real
             if not np.array_equal(row, affine):
                 label = unital_label(ctx, params, np.unique(row).size + 1)

@@ -144,12 +144,13 @@ class UnitalModel:
         if self._line_stats is None:
             rows = self.plane.incidence[self.points]
             counts = self.plane.line_counts(self.points, rows=rows)
-            flags = np.take(counts == 1, rows)
-            tangents = np.count_nonzero(flags, axis=1)
+            hits = np.flatnonzero(np.take(counts == 1, rows))  # the (point, tangent) pairs
+            at = hits // rows.shape[1]
+            tangents = np.bincount(at, minlength=rows.shape[0])
             touch = None
             if bool(np.all(tangents == 1)):
                 touch = np.full(self.plane.size, -1, dtype=np.int32)
-                touch[rows[np.arange(rows.shape[0]), flags.argmax(axis=1)]] = self.points
+                touch[rows.ravel()[hits]] = self.points[at]
             self._line_stats = (counts, tangents, touch)
         return self._line_stats
 
@@ -198,20 +199,28 @@ class UnitalModel:
              2*alpha*x^2 + (beta - conj(beta))*N(x) - y]^t,
         whose third entry is alpha*x^2 - conj(beta)*N(x) - r; it reads beta
         only through beta - conj(beta).  The line at infinity at [0,1,0].
+
+        The ids come from per-x terms, in the x-major (x, r) order of the
+        generators: the tangent [u, 1, c] has u = u(x) and c = c(x) - r, with
+        c(x) = alpha*x^2 - conj(beta)*N(x).  With k = q^2, its id is
+        k*(1/u) + c(x)/u + (-r)/u for u != 0, and k^2 + c for u = 0 (at
+        x = 0 only, for valid parameters).
         """
-        ctx, plane = self.ctx, self.plane
-        p = self.params
-        pts, X, R = self.generators
-        add, mul, neg, conj = ctx.add_t, ctx.mul_t, ctx.neg_t, ctx.conj_t
+        ctx, p = self.ctx, self.params
+        k, add, mul, neg, conj = ctx.q2, ctx.add_t, ctx.mul_t, ctx.neg_t, ctx.conj_t
+        xs, minus_r = np.arange(k, dtype=np.int32), neg[np.arange(ctx.q, dtype=np.int32)]
         two = ctx.scalar(2)
         bbar_minus_b = ctx.sub(ctx.conj(p.beta), p.beta)
-        U = add[neg[mul[two, mul[p.alpha, X]]], mul[bbar_minus_b, conj[X]]]
-        Zc = add[
-            add[mul[p.alpha, mul[X, X]], neg[mul[ctx.conj(p.beta), ctx.norm_t[X]]]], neg[R]
-        ]
-        lids = plane.point_ids_vec(U, np.ones_like(U), Zc)
-        pts = np.concatenate([pts, [self.infinity_point]])
-        lids = np.concatenate([lids, [np.int32(self.infinity_line)]])
+        u = add[neg[mul[two, mul[p.alpha, xs]]], mul[bbar_minus_b, conj[xs]]]
+        c_x = add[mul[p.alpha, mul[xs, xs]], neg[mul[ctx.conj(p.beta), ctx.norm_t[xs]]]]
+        inv_u = ctx.inv_t[u][:, None]
+        lids = np.where(
+            u[:, None] != 0,
+            add[mul[c_x[:, None], inv_u], mul[minus_r, inv_u]] + k * inv_u,
+            k * k + add[c_x[:, None], minus_r],
+        )
+        pts = np.append(self.generators[0], self.infinity_point)
+        lids = np.append(lids.ravel(), np.int32(self.infinity_line))
         return pts, lids
 
     # -- blocking-set verification ------------------------------------------------
@@ -263,12 +272,22 @@ def _generators(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
 
 def obm_point_ids(ctx: FieldCtx, plane: ProjectivePlane, alpha: int, betas) -> np.ndarray:
     """The ids of [x, alpha*x^2 + beta*N(x) + r, 1], one row of q^3 per beta,
-    each in the x-major (x, r) order of a model's generators; one gather."""
-    X, R = _generators(ctx)
+    each in the x-major (x, r) order of a model's generators.
+
+    The ids come from per-x terms, without normalizing q^3 triples: with
+    k = q^2 and s(x) = alpha*x^2 + beta*N(x), a point with x != 0 is
+    [1, s(x)/x + r/x, 1/x], of id k*(s(x)/x + r/x) + 1/x, so s(x)/x is formed
+    q^2 times per beta and r/x once per call, as one (q^2, q) array.  At
+    x = 0 the point is [0, r, 1]: id k^2 + 1/r for r != 0, k^2 + k for r = 0.
+    """
+    k, add, mul, inv = ctx.q2, ctx.add_t, ctx.mul_t, ctx.inv_t
+    xs, y0 = np.arange(k, dtype=np.int32), np.arange(ctx.q, dtype=np.int32)
+    inv_x = inv[xs]  # inv[0] reads 0; the x = 0 column is set below
     B = np.asarray(betas, dtype=np.int32)[:, None]
-    add, mul = ctx.add_t, ctx.mul_t
-    Y = add[add[mul[alpha, mul[X, X]], mul[B, ctx.norm_t[X]]], R]
-    return plane.point_ids_vec(X, Y, np.ones_like(X))
+    s_over_x = mul[add[mul[alpha, mul[xs, xs]], mul[B, ctx.norm_t[xs]]], inv_x]
+    ids = add[s_over_x[:, :, None], mul[inv_x[:, None], y0]] * k + inv_x[:, None]
+    ids[:, 0] = np.where(y0 != 0, k * k + inv[y0], k * k + k)  # y = r at x = 0
+    return ids.reshape(B.shape[0], k * ctx.q)
 
 
 def build_obm_unital(ctx: FieldCtx, plane: ProjectivePlane, params: UnitalParams) -> UnitalModel:

@@ -106,11 +106,21 @@ MUTANTS = (
     Mutant(
         id="obm-tangent-sign",
         path="unital_lab/unitals.py",
-        old="U = add[neg[mul[two, mul[p.alpha, X]]], mul[bbar_minus_b, conj[X]]]",
-        new="U = add[mul[two, mul[p.alpha, X]], mul[bbar_minus_b, conj[X]]]",
+        old="u = add[neg[mul[two, mul[p.alpha, xs]]], mul[bbar_minus_b, conj[xs]]]",
+        new="u = add[mul[two, mul[p.alpha, xs]], mul[bbar_minus_b, conj[xs]]]",
         tests=(
             "tests/test_unitals.py::test_tangent_formula_vs_oracle_all_tuples_q3",
             "tests/test_pedals.py::test_two_pedals_share_at_most_one_point",
+        ),
+    ),
+    Mutant(
+        id="obm-ids-x0-column-uninverted",
+        path="unital_lab/unitals.py",
+        old="k * k + inv[y0]",
+        new="k * k + y0",
+        tests=(
+            "tests/test_unitals.py::test_obm_point_ids_equal_the_scalar_point_ids[5]",
+            "tests/test_unitals.py::test_obm_point_ids_equal_the_scalar_point_ids[9]",
         ),
     ),
     Mutant(

@@ -748,6 +748,34 @@ def test_verify_fails_a_later_member_whose_row_has_a_collision(capsys, monkeypat
 
 
 @pytest.mark.parametrize(
+    "argv, gathers",
+    [
+        (["verify", "--p", "3", "--beta", "e"], 0),  # every class has one member
+        (["verify", "--p", "5", "--alpha", "1"], 2),  # two classes of five valid members
+    ],
+    ids=["beta-column", "alpha-row"],
+)
+def test_a_class_gathers_rows_only_for_its_later_members(argv, gathers, capsys, monkeypatch):
+    real, calls = cli.obm_point_ids, []
+
+    def counted(ctx, plane, alpha, betas):
+        calls.append(len(betas))
+        return real(ctx, plane, alpha, betas)
+
+    monkeypatch.setattr(cli, "obm_point_ids", counted)
+    code, report = run_json([*argv, "--jobs", "1"], capsys)
+    assert code == 0
+    ctx = cli._WORKER["ctx"]
+    sizes = {}
+    for rec in report["records"]:
+        if "beta_real" in rec:
+            key = (rec["alpha"], ctx.im(ctx.parse_fq2(rec["beta"])))
+            sizes[key] = sizes.get(key, 0) + 1
+    assert sizes and len(calls) == sum(size >= 2 for size in sizes.values()) == gathers
+    assert calls == [size - 1 for size in sizes.values() if size >= 2]
+
+
+@pytest.mark.parametrize(
     "argv, passes",
     [
         (["verify", "--p", "5", "--alpha", "1"], 2),

@@ -13,6 +13,7 @@ from unital_lab import (
     valid_parameter_pairs,
     validate_params,
 )
+from unital_lab import unitals
 
 from conftest import (
     PN_BY_Q,
@@ -142,16 +143,38 @@ def test_generating_pair_raises_key_error_for_a_point_without_one():
 
 def test_non_injective_generating_map_is_a_structural_violation(monkeypatch):
     ctx, plane = get_geometry(3, 1)
-    real = plane.point_ids_vec
+    real = unitals.obm_point_ids
 
-    def collide(*coords):  # two generators of each row land on one point
-        ids = real(*coords).copy()
-        ids[..., 1] = ids[..., 0]
+    def collide(*args):  # two generators of each row land on one point
+        ids = real(*args)
+        ids[:, 1] = ids[:, 0]
         return ids
 
-    monkeypatch.setattr(plane, "point_ids_vec", collide)
+    monkeypatch.setattr(unitals, "obm_point_ids", collide)
     with pytest.raises(StructuralViolation, match="not injective"):
         build_obm_unital(ctx, plane, validate_params(ctx, ctx.pack(1, 1), 0))
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_obm_point_ids_equal_the_scalar_point_ids(q):
+    # every valid pair at q = 3 and 5, the alpha = 1+e row at q = 9: entry
+    # (x, r) of a row, x-major, is the scalar normalize of [x, y, 1]
+    ctx, plane = get_geometry(*PN_BY_Q[q])
+    rows = {}
+    alpha = ctx.pack(1, 1) if q == 9 else None
+    for params in valid_parameter_pairs(ctx, alpha=alpha):
+        rows.setdefault(params.alpha, []).append(params.beta)
+    for alpha, betas in rows.items():
+        got = obm_point_ids(ctx, plane, alpha, betas)
+        for beta, row in zip(betas, got.tolist()):
+            s = [ctx.add(ctx.mul(alpha, ctx.mul(x, x)), ctx.mul(beta, ctx.norm(x))) for x in ctx.elements()]
+            expected = [
+                plane.point_id(x, ctx.add(s[x], r), 1)
+                for x in ctx.elements()
+                for r in ctx.subfield_elements()
+            ]
+            assert row == expected
+    assert sum(len(betas) for betas in rows.values()) > 0
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -223,6 +246,18 @@ def test_tangent_formula_vs_oracle_all_tuples_q3():
         for pt, lid in zip(pts, lids):
             assert tangent_line_brute(model, int(pt)) == int(lid)
             assert model.classify_line(int(lid)) == ("tangent", 1)
+
+
+def test_tangent_formula_vs_oracle_q9_row():
+    # the tower field GF(9), every valid pair of the alpha = 1+e row
+    ctx, plane = get_geometry(3, 2)
+    pairs = valid_parameter_pairs(ctx, alpha=ctx.pack(1, 1))
+    assert len({ctx.im(params.beta) for params in pairs}) > 1
+    for params in pairs:
+        model = build_obm_unital(ctx, plane, params)
+        pts, lids = model.tangent_lines_closed_form()
+        assert pts.size == model.size
+        assert [tangent_line_brute(model, pt) for pt in pts.tolist()] == lids.tolist()
 
 
 def test_tangent_formula_vs_oracle_q5_spot():
@@ -332,6 +367,18 @@ def _corrupted(name):
         added = int(np.flatnonzero(~model.mask)[0])
         return UnitalModel(ctx, plane, np.append(model.points, added))
     return model
+
+
+def test_lines_pass_of_a_swapped_set_matches_a_per_point_count():
+    # some points of the swapped set lie on no tangent line; the pass counts
+    # them as 0 and makes no touch array
+    model = _corrupted("swapped")
+    sizes, tangents = _oracle_line_stats(model)
+    counts, per_point, touch = model._lines_pass()
+    expected = [len(tangents[point]) for point in model.points.tolist()]
+    assert np.array_equal(counts, sizes)
+    assert per_point.tolist() == expected
+    assert 0 in expected and touch is None
 
 
 @pytest.mark.parametrize("name", ["intact", "minus_infinity", "swapped", "plus_external"])
