@@ -159,7 +159,7 @@ def _class_records(check: str, shared, pairs) -> list:
     if ref is not None:
         affine = ref.points[ref.points != ref.infinity_point]
         betas = [params.beta for _, params in members[1:]]
-        later = np.sort(obm_point_ids(ctx, plane, ref.params.alpha, betas), axis=1) if betas else []
+        later = np.sort(obm_point_ids(ctx, ref.params.alpha, betas), axis=1) if betas else []
         try:
             entries = shared(ref)
         except CheckFailure as exc:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ParameterError
 
 # Largest allowed q^2: q = 19, the largest q whose plane build was measured to
-# fit in memory (a 180 MiB incidence table, 816 MB peak RSS).
+# fit in memory (a 180 MiB incidence table, 233 MB peak RSS while it is built).
 MAX_FIELD_ORDER = 361
 
 _FQ2_RE = re.compile(

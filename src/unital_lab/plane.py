@@ -27,6 +27,12 @@ from .fields import FieldCtx
 PointId = NewType("PointId", int)
 LineId = NewType("LineId", int)
 
+# Most entries the incidence table's build fills per block.  Every q <= 9
+# fits one block; at q = 13 each of a block's temporaries is about 4 MiB,
+# still well above the 0.2-1.3 MB arrays a sweep allocates per call (finer
+# blocks were measured to lengthen the scan tails).
+_BLOCK_ENTRIES = 1 << 20
+
 
 class ProjectivePlane:
     """PG(2, q^2): q^4 + q^2 + 1 points and as many lines, all immutable."""
@@ -124,34 +130,49 @@ class ProjectivePlane:
         return self._incidence
 
     def _build_incidence(self) -> np.ndarray:
+        """The table, filled by :meth:`_rows` over consecutive id ranges of at
+        most ``_BLOCK_ENTRIES`` entries, so no temporary grows with the plane."""
+        k = self.ctx.q2
+        inc = np.empty((self.size, k + 1), dtype=np.int32)
+        step = max(1, _BLOCK_ENTRIES // (k + 1))
+        for start in range(0, self.size, step):
+            stop = min(start + step, self.size)
+            inc[start:stop] = self._rows(np.arange(start, stop, dtype=np.int32))
+        return inc
+
+    def _rows(self, ids) -> np.ndarray:
+        """(len(ids), q^2+1) int32: the sorted incidence rows of the given ids,
+        from the row formulas alone; one call may mix the three families."""
         ctx = self.ctx
         k = ctx.q2
         add, mul, neg, inv = ctx.add_t, ctx.mul_t, ctx.neg_t, ctx.inv_t
-        inc = np.empty((self.size, k + 1), dtype=np.int32)
+        ids = np.asarray(ids, dtype=np.int32)
+        rows = np.empty((ids.size, k + 1), dtype=np.int32)
         t = np.arange(k, dtype=np.int32)[None, :]
 
         # rows [1, y, z]: points (a, 1, t) with a = -(y + t z), plus (-z, 0, 1)
-        Y = (np.arange(k * k, dtype=np.int32) // k)[:, None]
-        Z = (np.arange(k * k, dtype=np.int32) % k)[:, None]
+        at = np.flatnonzero(ids < k * k)
+        Y, Z = np.divmod(ids[at, None], k)
         a = neg[add[Y, mul[t, Z]]]
         inva = inv[np.where(a != 0, a, 1)]
-        inc[: k * k, :k] = np.where(a != 0, mul[inva, 1] * k + mul[inva, t], k * k + t)
+        rows[at, :k] = np.where(a != 0, mul[inva, 1] * k + mul[inva, t], k * k + t)
         zcol = Z[:, 0]
-        negz = neg[zcol]
-        inc[: k * k, k] = np.where(zcol != 0, inv[negz], k * k + k)
+        rows[at, k] = np.where(zcol != 0, inv[neg[zcol]], k * k + k)
 
         # rows [0, 1, z]: points (1, -t z, t), plus (0, -z, 1)
-        z2 = np.arange(k, dtype=np.int32)[:, None]
-        inc[k * k : k * k + k, :k] = neg[mul[t, z2]] * k + t
-        z2c = z2[:, 0]
-        inc[k * k : k * k + k, k] = np.where(z2c != 0, k * k + inv[neg[z2c]], k * k + k)
+        at = np.flatnonzero((ids >= k * k) & (ids < k * k + k))
+        z = ids[at, None] - k * k
+        rows[at, :k] = neg[mul[t, z]] * k + t
+        z = z[:, 0]
+        rows[at, k] = np.where(z != 0, k * k + inv[neg[z]], k * k + k)
 
         # row [0, 0, 1]: points (1, t, 0) and (0, 1, 0)
-        inc[-1, :k] = t[0] * k
-        inc[-1, k] = k * k
+        at = np.flatnonzero(ids == k * k + k)
+        rows[at, :k] = t * k
+        rows[at, k] = k * k
 
-        inc.sort(axis=1)
-        return inc
+        rows.sort(axis=1)
+        return rows
 
     def line_counts(self, points, rows=None) -> np.ndarray:
         """|l ∩ S| for every line id l, S the given (distinct) points: one

@@ -270,7 +270,7 @@ def _generators(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.arange(ctx.q**3, dtype=np.int32), np.int32(ctx.q))
 
 
-def obm_point_ids(ctx: FieldCtx, plane: ProjectivePlane, alpha: int, betas) -> np.ndarray:
+def obm_point_ids(ctx: FieldCtx, alpha: int, betas) -> np.ndarray:
     """The ids of [x, alpha*x^2 + beta*N(x) + r, 1], one row of q^3 per beta,
     each in the x-major (x, r) order of a model's generators.
 
@@ -292,7 +292,7 @@ def obm_point_ids(ctx: FieldCtx, plane: ProjectivePlane, alpha: int, betas) -> n
 
 def build_obm_unital(ctx: FieldCtx, plane: ProjectivePlane, params: UnitalParams) -> UnitalModel:
     """The q^3 affine points of :func:`obm_point_ids`, its one-row case, plus [0,1,0]."""
-    ids = obm_point_ids(ctx, plane, params.alpha, [params.beta])[0]
+    ids = obm_point_ids(ctx, params.alpha, [params.beta])[0]
     points = np.append(ids, plane.infinity_point)
     model = UnitalModel(ctx, plane, points, params=params, generators=(ids, *_generators(ctx)))
     # [0,1,0] is no image of an affine (x, r), so only a collision loses points

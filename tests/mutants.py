@@ -97,6 +97,28 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        id="incidence-block-slice-short",
+        path="unital_lab/plane.py",
+        old="stop = min(start + step, self.size)",
+        new="stop = min(start + step - 1, self.size)",
+        tests=(
+            "tests/test_plane.py::test_block_edges_inside_and_between_the_row_families[3-39]",
+            "tests/test_plane.py::test_block_edges_inside_and_between_the_row_families[5-130]",
+            "tests/test_plane.py::test_rows_on_both_sides_of_every_block_edge_q13",
+        ),
+    ),
+    Mutant(
+        id="incidence-rows-affine-family-overreach",
+        path="unital_lab/plane.py",
+        old="np.flatnonzero(ids < k * k)",
+        new="np.flatnonzero(ids <= k * k)",
+        tests=(
+            "tests/test_plane.py::test_block_edges_inside_and_between_the_row_families[3-1]",
+            "tests/test_plane.py::test_rows_on_both_sides_of_every_block_edge_q13",
+            "tests/test_plane.py::test_building_the_q13_table_stays_within_table_bytes_plus_32_mib",
+        ),
+    ),
+    Mutant(
         id="sweep-pool-reversed",
         path="unital_lab/cli.py",
         old="parts = pool.map(per_tuple, tuples,",

@@ -580,8 +580,8 @@ def _corrupt_rows(monkeypatch, corrupt):
     corrupt(ctx, alpha, beta, row)."""
     real = cli.obm_point_ids
 
-    def obm_point_ids(ctx, plane, alpha, betas):
-        rows = real(ctx, plane, alpha, betas)
+    def obm_point_ids(ctx, alpha, betas):
+        rows = real(ctx, alpha, betas)
         for beta, row in zip(betas, rows):
             corrupt(ctx, alpha, beta, row)
         return rows
@@ -758,9 +758,9 @@ def test_verify_fails_a_later_member_whose_row_has_a_collision(capsys, monkeypat
 def test_a_class_gathers_rows_only_for_its_later_members(argv, gathers, capsys, monkeypatch):
     real, calls = cli.obm_point_ids, []
 
-    def counted(ctx, plane, alpha, betas):
+    def counted(ctx, alpha, betas):
         calls.append(len(betas))
-        return real(ctx, plane, alpha, betas)
+        return real(ctx, alpha, betas)
 
     monkeypatch.setattr(cli, "obm_point_ids", counted)
     code, report = run_json([*argv, "--jobs", "1"], capsys)

@@ -1,9 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from unital_lab import DegenerateInput, ParameterError
+import unital_lab.plane as plane_mod
+from unital_lab import DegenerateInput, ParameterError, ProjectivePlane
 
-from conftest import PN_BY_Q, get_geometry
+from conftest import PN_BY_Q, get_ctx, get_geometry
+
+
+def dot_product_rows(plane, ids) -> np.ndarray:
+    """Oracle: row i lists, ascending, the ids whose triples have dot product
+    0 with triple i."""
+    coords = plane._coords
+    return np.array([np.flatnonzero(plane.vdot(coords, coords[i][None, :]) == 0) for i in ids])
 
 
 def test_point_and_line_counts():
@@ -27,10 +37,46 @@ def test_every_line_has_order_plus_one_points():
 
 def test_incidence_rows_match_dot_product_oracle():
     ctx, plane = get_geometry(3, 1)
-    for i in range(plane.size):
-        v = plane._coords[i]
-        zero_dots = np.nonzero(plane.vdot(plane._coords, v[None, :]) == 0)[0]
-        assert np.array_equal(zero_dots, plane.incidence[i])
+    assert np.array_equal(plane.incidence, dot_product_rows(plane, range(plane.size)))
+
+
+@pytest.mark.parametrize("q, entries", [(3, 1), (3, 39), (5, 130)])
+def test_block_edges_inside_and_between_the_row_families(q, entries, monkeypatch):
+    # blocks of entries // (q^2+1) rows, at least one: at q = 3 one row and 3
+    # rows (39 entries is not a whole number of 10-entry rows), at q = 5 five
+    # rows; each puts edges inside the [1, y, z] rows, inside the [0, 1, z]
+    # rows, and at k^2 or k^2 + k, between two families
+    ctx = get_ctx(*PN_BY_Q[q])
+    k = ctx.q2
+    monkeypatch.setattr(plane_mod, "_BLOCK_ENTRIES", entries)
+    plane = ProjectivePlane(ctx)
+    edges = set(range(0, plane.size, max(1, entries // (k + 1)))) - {0}
+    assert edges & set(range(1, k * k)) and edges & set(range(k * k + 1, k * k + k))
+    assert edges & {k * k, k * k + k}
+    assert np.array_equal(plane.incidence, dot_product_rows(plane, range(plane.size)))
+
+
+def test_rows_on_both_sides_of_every_block_edge_q13():
+    # q = 13 fills its table in five blocks, every edge inside the [1, y, z]
+    # rows; the last k + 2 rows are the last affine row and the other families
+    ctx, plane = get_geometry(13, 1)
+    k = ctx.q2
+    edges = range(0, plane.size, plane_mod._BLOCK_ENTRIES // (k + 1))[1:]
+    assert len(edges) == 4 and edges[-1] < k * k
+    ids = sorted({edge + d for edge in edges for d in (-1, 0)} | set(range(k * k - 1, plane.size)))
+    assert np.array_equal(plane.incidence[ids], dot_product_rows(plane, ids))
+
+
+def test_building_the_q13_table_stays_within_table_bytes_plus_32_mib():
+    # the build's temporaries are bounded by its block, not by the plane
+    plane = ProjectivePlane(get_ctx(13, 1))
+    tracemalloc.start()
+    try:
+        table = plane.incidence
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes + (32 << 20)
 
 
 def test_incident_scalar():

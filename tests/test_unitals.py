@@ -165,7 +165,7 @@ def test_obm_point_ids_equal_the_scalar_point_ids(q):
     for params in valid_parameter_pairs(ctx, alpha=alpha):
         rows.setdefault(params.alpha, []).append(params.beta)
     for alpha, betas in rows.items():
-        got = obm_point_ids(ctx, plane, alpha, betas)
+        got = obm_point_ids(ctx, alpha, betas)
         for beta, row in zip(betas, got.tolist()):
             s = [ctx.add(ctx.mul(alpha, ctx.mul(x, x)), ctx.mul(beta, ctx.norm(x))) for x in ctx.elements()]
             expected = [
@@ -189,7 +189,7 @@ def test_the_members_of_a_class_share_their_points_and_tangents(q):
         classes.setdefault((params.alpha, ctx.im(params.beta)), []).append(params)
     for (alpha, _), members in classes.items():
         assert len(members) == q
-        rows = obm_point_ids(ctx, plane, alpha, [params.beta for params in members])
+        rows = obm_point_ids(ctx, alpha, [params.beta for params in members])
         assert rows.shape == (q, q**3)
         tangents = []
         for params, row in zip(members, rows):
