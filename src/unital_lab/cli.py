@@ -311,20 +311,30 @@ def cmd_orbit(args) -> tuple[dict, int]:
 # -- scan -------------------------------------------------------------------------
 
 
-def _scan_bases(model) -> np.ndarray:
-    """Base points for pedal scans: every external point off the line at
-    infinity at desk scale, otherwise the canonical bases and their elation
-    translates."""
-    ctx, plane = model.ctx, model.plane
+def _scan_bases(model) -> tuple[np.ndarray, int]:
+    """The sorted base points a pedal scan evaluates, and how many bases
+    they stand for.
+
+    Every elation E_t fixes U (checked here, one gather per generator), so
+    it maps tangents to tangents, the feet of P onto those of E_t P and lines
+    to lines: a pedal's census and its largest collinear subset are constant
+    on each elation orbit.  E_t with t != 0 moves every affine point, so an
+    orbit of affine bases has q points, and [x, y, 1] has the one
+    representative [x, Im(y)*e, 1].  At desk scale the representatives are
+    the [x, b*e, 1] off U, b in GF(q), standing for every external point off
+    the line at infinity; otherwise the two canonical bases, standing for
+    their 2q translates.  Either way they stand for q times their number."""
+    ctx = model.ctx
+    ElationGroup(model).check_fixes_unital()
     if ctx.q <= FULL_POINT_SWEEP_MAX_Q:
-        on_linf = np.zeros(plane.size, dtype=bool)
-        on_linf[plane.points_on(plane.infinity_line)] = True
-        all_ids = np.arange(plane.size, dtype=np.int32)
-        return all_ids[~model.mask & ~on_linf]
-    group = ElationGroup(model)
-    ts = np.arange(group.order, dtype=np.int32)[:, None]
-    canonical = [canonical_base_point(model, lam) for _, lam in _lambdas(ctx)]
-    return np.unique(group.apply_points(ts, canonical))
+        x = np.arange(ctx.q2, dtype=np.int32)[:, None]
+        b = np.arange(ctx.q, dtype=np.int32)
+        ids = model.plane.point_ids_vec(x, ctx.pack(0, b), 1).ravel()
+        bases = np.sort(ids[~model.mask[ids]])
+    else:
+        canonical = [canonical_base_point(model, lam) for _, lam in _lambdas(ctx)]
+        bases = np.sort(np.array(canonical, dtype=np.int32))
+    return bases, ctx.q * bases.size
 
 
 # A scan maps a model to its list of record fields: one per lambda (1, then
@@ -332,7 +342,12 @@ def _scan_bases(model) -> np.ndarray:
 
 
 def _scan_four_lines(model) -> list:
-    bases = _scan_bases(model)
+    """Whether some line meets a pedal in 4 or more points, over the bases
+    of :func:`_scan_bases`: feet and their largest collinear subsets are
+    computed for the orbit representatives only, and ``scanned_bases`` is the
+    number of bases they stand for.  The two lambda censuses read the feet
+    rows of the canonical bases, which are representatives."""
+    bases, covered = _scan_bases(model)
     feet = feet_of_many(model, bases)
     # Each lambda census reads the feet row of its base among the sorted bases.
     canonical = [canonical_base_point(model, lam) for _, lam in _lambdas(model.ctx)]
@@ -345,7 +360,7 @@ def _scan_four_lines(model) -> list:
     ]
     max_line_size = int(model.plane.max_collinear(feet).max())
     fields = {
-        "scanned_bases": int(bases.size),
+        "scanned_bases": covered,
         "max_line_size": max_line_size,
         "size4_lines_exist": max_line_size >= 4,
         "lambda_censuses_equal": censuses[0].histogram == censuses[1].histogram,

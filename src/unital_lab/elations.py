@@ -1,7 +1,8 @@
 """The elation group of an OBM unital: E_t : (x, y, z) -> (x, y + t*z, z)
 for t in GF(q), with center [0,1,0] and axis the line at infinity.
 
-Every E_t fixes the unital setwise (it shifts the generator r to r + t), so
+Every E_t fixes the unital setwise (it shifts the generator r to r + t;
+:meth:`ElationGroup.check_fixes_unital` checks it on the generators), so
 orbits of pedals under the group are unions of q pairwise disjoint pedals,
 and in the canonical frame the q lines [0, -1, s - lam*e]^t through [1,0,0]
 partition the orbit of the pedal of [0, lam*e, 1].
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TheoremViolation
+from .errors import StructuralViolation, TheoremViolation
 from .pedals import IntersectionCensus, PedalSet, feet_of_many
 from .plane import LineId, PointId
 from .unitals import UnitalModel
@@ -24,12 +25,27 @@ class ElationGroup:
     is addition of parameters, and the action is semi-regular off the axis."""
 
     def __init__(self, U: UnitalModel):
+        self.U = U
         self.ctx = U.ctx
         self.plane = U.plane
 
     @property
     def order(self) -> int:
         return self.ctx.q
+
+    def check_fixes_unital(self) -> None:
+        """Check the premise of every orbit argument: each generator E_t,
+        t = p^i for i < n (a GF(p)-basis of GF(q), so their sums give every
+        E_t), maps U's points into U, hence onto U, E_t being a bijection.
+        Raises StructuralViolation naming the first generator that moves a
+        point of U off it."""
+        U = self.U
+        ts = self.ctx.p ** np.arange(self.ctx.n, dtype=np.int32)[:, None]
+        moved = ~U.mask[self.apply_points(ts, U.points)]
+        if moved.any():
+            i, j = np.argwhere(moved)[0]
+            point = self.plane.format_point(int(U.points[j]))
+            raise StructuralViolation(f"the elation t={int(ts[i, 0])} moves {point} off {U!r}")
 
     def apply_points(self, t, points) -> np.ndarray:
         """Point ids moved by E_t: [x, y, z] -> [x, y + t*z, z]; t and points

@@ -229,9 +229,6 @@ class FieldCtx:
         """The prime-subfield element m mod p (a code valid in both fields)."""
         return m % self.p
 
-    def elements(self):
-        return range(self.q2)
-
     def subfield_elements(self):
         return range(self.q)
 

@@ -10,7 +10,11 @@ from unital_lab import (
     __version__,
     build_field_ctx,
     build_obm_unital,
+    canonical_base_point,
     cli,
+    feet_of,
+    feet_of_many,
+    line_pedal_census,
     validate_params,
 )
 
@@ -171,6 +175,36 @@ def scan_records_per_pair(problem, ctx, plane, pairs) -> list:
         model = build_obm_unital(ctx, plane, params)
         records += [{**rec, **fields} for fields in cli._SCANS[problem](model)]
     return records
+
+
+def four_lines_bases(model) -> np.ndarray:
+    """The sorted bases a four-lines record stands for, listed without the
+    elation orbits: every external point off the line at infinity (z != 0)
+    at q <= ``cli.FULL_POINT_SWEEP_MAX_Q``, otherwise the q translates
+    [0, t + lam*e, 1], t in GF(q), of each canonical base."""
+    ctx, plane = model.ctx, model.plane
+    if ctx.q <= cli.FULL_POINT_SWEEP_MAX_Q:
+        return np.flatnonzero(~model.mask & (plane._coords[:, 2] != 0))
+    translates = [plane.point_id(0, ctx.pack(t, lam), 1) for lam in (1, ctx.w) for t in range(ctx.q)]
+    return np.sort(translates)
+
+
+def four_lines_record_of_every_base(model) -> dict:
+    """Oracle for a four-lines record: the feet of every base of
+    ``four_lines_bases`` and their largest collinear subsets, and the
+    censuses of the two canonical pedals, each from its own feet."""
+    bases = four_lines_bases(model)
+    max_line_size = int(model.plane.max_collinear(feet_of_many(model, bases)).max())
+    censuses = [
+        line_pedal_census(model, feet_of(model, canonical_base_point(model, lam))).histogram
+        for lam in (1, model.ctx.w)
+    ]
+    return {
+        "scanned_bases": bases.size,
+        "max_line_size": max_line_size,
+        "size4_lines_exist": max_line_size >= 4,
+        "lambda_censuses_equal": censuses[0] == censuses[1],
+    }
 
 
 def build_hermitian(ctx, plane) -> UnitalModel:

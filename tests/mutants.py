@@ -228,6 +228,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        id="four-lines-elation-check-skipped",
+        path="unital_lab/elations.py",
+        old="if moved.any():",
+        new="if False:",
+        tests=(
+            "tests/test_cli.py::test_four_lines_fails_a_class_whose_set_an_elation_moves",
+            "tests/test_elations.py::test_generator_check_covers_a_gf_p_basis_of_gf_q",
+        ),
+    ),
+    Mutant(
         id="refused-flag-top-level-usage",
         path="unital_lab/cli.py",
         old="_COMMAND_PARSERS[args.command].error(",

@@ -21,6 +21,8 @@ from unital_lab import (
 from conftest import (
     PN_BY_Q,
     external_swap,
+    four_lines_bases,
+    four_lines_record_of_every_base,
     scan_records_per_pair,
     swapped_for_external,
     verify_records_per_pair,
@@ -625,8 +627,8 @@ def test_four_lines_fails_a_tuple_whose_canonical_base_is_not_scanned(monkeypatc
     real = cli._scan_bases
 
     def bases_without_lambda_1(model):
-        bases = real(model)
-        return bases[bases != canonical_base_point(model, 1)]
+        bases, covered = real(model)
+        return bases[bases != canonical_base_point(model, 1)], covered
 
     monkeypatch.setattr(cli, "_scan_bases", bases_without_lambda_1)
     cli._context(3, 1, None)
@@ -639,6 +641,61 @@ def test_four_lines_fails_a_tuple_whose_canonical_base_is_not_scanned(monkeypatc
         assert rec["error"] == (
             "InternalConsistencyError: a canonical base is not among the scanned bases"
         )
+
+
+@pytest.mark.parametrize("q, alpha", [(3, None), (5, None), (7, "1+e"), (9, "1+e")])
+def test_four_lines_reads_one_base_per_elation_orbit(q, alpha, geometry):
+    # every class at q = 3 and 5, the alpha = 1+e row at q = 7 and 9
+    p, n = PN_BY_Q[q]
+    ctx, plane = geometry(p, n)
+    row = None if alpha is None else ctx.parse_fq2(alpha)
+    classes = {}
+    for params in valid_parameter_pairs(ctx, nonclassical_only=True, alpha=row):
+        classes.setdefault((params.alpha, ctx.im(params.beta)), params)
+    assert len(classes) == {3: 4, 5: 36, 7: 3, 9: 4}[q]
+    for params in classes.values():
+        model = build_obm_unital(ctx, plane, params)
+        assert cli._scan_four_lines(model) == [four_lines_record_of_every_base(model)]
+        # the E_t images [x, y + t*z, z] of the representatives are the
+        # covered bases, each once
+        reps, covered = cli._scan_bases(model)
+        images = sorted(
+            plane.point_id(x, ctx.add(y, ctx.mul(t, z)), z)
+            for x, y, z in map(plane.coords, reps.tolist())
+            for t in range(ctx.q)
+        )
+        assert images == four_lines_bases(model).tolist()
+        assert covered == len(images) == q * reps.size
+
+
+def test_four_lines_fails_a_class_whose_set_an_elation_moves(capsys, monkeypatch):
+    # the class's reference and every later member's row are one set with
+    # its external_swap applied, which the elation t = 1 does not fix
+    scan = ["scan", "--p", "3", "--n", "1", "--problem", "four-lines"]
+    code, clean = run_json(scan, capsys)
+    assert code == 0
+    ctx = cli._WORKER["ctx"]
+    broken = _record_class(ctx, clean["records"][4])
+    real = cli.build_obm_unital
+
+    def build_obm_unital(ctx, plane, params):
+        model = real(ctx, plane, params)
+        return swapped_for_external(model) if _class_of(model) == broken else model
+
+    def swap_in_class(ctx, alpha, beta, row):
+        if (ctx.format_fq2(alpha), ctx.im(beta)) == broken:
+            _swap_row(ctx, alpha, beta, row)
+
+    monkeypatch.setattr(cli, "build_obm_unital", build_obm_unital)
+    _corrupt_rows(monkeypatch, swap_in_class)
+    code, out = run_cli(scan, capsys)
+    assert code == 2
+    assert run_cli([*scan, "--jobs", "8"], capsys) == (2, out)
+    error = (
+        "StructuralViolation: the elation t=1 moves [1,1+e*2,e] off "
+        "UnitalModel[obm(alpha=2+e, beta=0), 28 points]"
+    )
+    _assert_class_failed(ctx, json.loads(out), clean, broken, "four-lines", error)
 
 
 def test_scan_records_an_inconsistent_tuple_and_goes_on(capsys, monkeypatch):

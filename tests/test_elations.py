@@ -6,7 +6,9 @@ import pytest
 from unital_lab import (
     ElationGroup,
     PedalSet,
+    StructuralViolation,
     TheoremViolation,
+    UnitalModel,
     build_obm_unital,
     feet_closed_form,
     feet_of,
@@ -65,6 +67,27 @@ def test_unital_invariance_all_tuples(setup):
         for t in range(group.order):
             image = np.sort(group.apply_points(t, model.points))
             assert np.array_equal(image, model.points)
+
+
+def test_generator_check_covers_a_gf_p_basis_of_gf_q():
+    # at q = 9 the generators are t = 1 and t = 3; a set that is a union of
+    # orbits of {E_t : t in GF(3)} is fixed by E_1 but moved by E_3
+    ctx, plane = get_geometry(3, 2)
+    model = build_obm_unital(ctx, plane, valid_parameter_pairs(ctx, nonclassical_only=True)[0])
+    group = ElationGroup(model)
+    group.check_fixes_unital()
+    prime = np.arange(ctx.p, dtype=np.int32)[:, None]
+    outside = np.flatnonzero(~model.mask & (plane._coords[:, 2] != 0))
+    dropped = group.apply_points(prime, model.points[:1]).ravel()
+    added = group.apply_points(prime, outside[:1]).ravel()
+    points = np.union1d(np.setdiff1d(model.points, dropped), added)
+    moved = UnitalModel(ctx, plane, points)
+    assert moved.size == model.size
+    for t in range(ctx.p):
+        assert np.array_equal(np.sort(group.apply_points(t, points)), points)
+    message = r"^the elation t=3 moves \[.*\] off UnitalModel\[730 points\]$"
+    with pytest.raises(StructuralViolation, match=message):
+        ElationGroup(moved).check_fixes_unital()
 
 
 def test_affine_action_and_translates(setup):

@@ -146,7 +146,7 @@ def test_product_of_conjugate_binomials():
 
 def test_field_axioms_exhaustive_q3():
     ctx = get_ctx(3, 1)
-    els = list(ctx.elements())
+    els = list(range(ctx.q2))
     for x in els:
         assert ctx.add(x, 0) == x and ctx.mul(x, 1) == x
         assert ctx.add(x, ctx.neg(x)) == 0
@@ -184,7 +184,7 @@ def test_division_errors():
 @pytest.mark.parametrize("q", sorted(PN_BY_Q))
 def test_conjugation_is_frobenius(q):
     ctx = get_ctx(*PN_BY_Q[q])
-    for x in ctx.elements():
+    for x in range(ctx.q2):
         assert ctx.conj(ctx.conj(x)) == x
         assert ctx.pow(x, ctx.q) == ctx.conj(x)
         assert (ctx.conj(x) == x) == (ctx.im(x) == 0)
@@ -217,8 +217,8 @@ def test_trace_norm_land_in_subfield(q):
 
 def test_trace_linear_norm_multiplicative():
     ctx = get_ctx(3, 1)
-    for x in ctx.elements():
-        for y in ctx.elements():
+    for x in range(ctx.q2):
+        for y in range(ctx.q2):
             assert ctx.trace(ctx.add(x, y)) == ctx.qadd(ctx.trace(x), ctx.trace(y))
             assert ctx.norm(ctx.mul(x, y)) == ctx.qmul(ctx.norm(x), ctx.norm(y))
     # vectorized identity on a bigger field
@@ -324,7 +324,7 @@ def test_gf_q2_matches_galoistools_quotient(q):
 def test_element_text_roundtrip():
     for q in (3, 9):
         ctx = get_ctx(*PN_BY_Q[q])
-        for x in ctx.elements():
+        for x in range(ctx.q2):
             assert ctx.parse_fq2(ctx.format_fq2(x)) == x
 
 

@@ -447,7 +447,7 @@ def test_conic_through_parabola_points():
     conic = conic_through(plane, pts)
     # y*z = x^2, canonicalized with leading coefficient 1
     assert conic.coeffs == (1, 0, 0, 0, 0, ctx.neg(1))
-    parabola = [plane.point_id(t, ctx.mul(t, t), 1) for t in ctx.elements()]
+    parabola = [plane.point_id(t, ctx.mul(t, t), 1) for t in range(ctx.q2)]
     parabola.append(plane.point_id(0, 1, 0))
     on_conic = np.flatnonzero(conic.contains_points(plane, np.arange(plane.size)))
     # non-degenerate: exactly the q^2+1 parabola points, no three collinear
@@ -551,7 +551,7 @@ def test_conic_through_is_the_one_conic_of_a_brute_force_search():
 
 def test_arc_in_conic():
     ctx, plane = get_geometry(5, 1)
-    parabola = [plane.point_id(t, ctx.mul(t, t), 1) for t in ctx.elements()]
+    parabola = [plane.point_id(t, ctx.mul(t, t), 1) for t in range(ctx.q2)]
     fit = arc_in_conic(plane, parabola)
     assert fit.contained and fit.status == "ok"
     # spoil one point
