@@ -58,7 +58,7 @@ from .pedals import (
     two_arc_partition,
 )
 from .plane import LineId, PointId, ProjectivePlane
-from .unitals import build_obm_unital, obm_point_ids, unital_label, valid_parameter_pairs, validate_params
+from .unitals import build_obm_unital, discriminant, obm_point_ids, unital_label, validate_params
 
 # Sweep caps: exhaustive external-point work only at desk scale.
 FULL_POINT_SWEEP_MAX_Q = 5
@@ -431,15 +431,16 @@ def _scan_class(problem: str, pairs) -> list:
 
 
 def cmd_scan(args) -> tuple[dict, int]:
+    """The scan records of the requested pairs that are valid and nonclassical."""
     ctx, _ = _context(args.p, args.n, args.w)
-    alpha = None if args.alpha is None else ctx.parse_fq2(args.alpha)
-    beta = None if args.beta is None else ctx.parse_fq2(args.beta)
-    if alpha is not None and beta is not None:
-        validate_params(ctx, alpha, beta)  # a named tuple must be a unital, as for pedal
-    tuples = valid_parameter_pairs(ctx, nonclassical_only=True, alpha=alpha, beta=beta)
-    classes = _classes(ctx, [(params.alpha, params.beta) for params in tuples])
-    records = _sweep(args, classes, functools.partial(_scan_class, args.problem))
-    return _report(f"scan:{args.problem}", ctx, args, records, tuples=len(tuples))
+    pairs = _pair_list(ctx, args)
+    if args.alpha is not None and args.beta is not None:
+        validate_params(ctx, *pairs[0])  # a named pair must be a unital, as for pedal
+    alphas, betas = np.array(pairs, dtype=np.int32).T
+    keep = (alphas != 0) & ~ctx.square_mask[discriminant(ctx, alphas, betas)]
+    pairs = [pair for pair, kept in zip(pairs, keep.tolist()) if kept]
+    records = _sweep(args, _classes(ctx, pairs), functools.partial(_scan_class, args.problem))
+    return _report(f"scan:{args.problem}", ctx, args, records, tuples=len(pairs))
 
 
 # -- emission ----------------------------------------------------------------------

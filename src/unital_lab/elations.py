@@ -55,14 +55,6 @@ class ElationGroup:
         b = ctx.add_t[pc[..., 1], ctx.mul_t[t, pc[..., 2]]]
         return self.plane.point_ids_vec(pc[..., 0], b, pc[..., 2])
 
-    def apply_lines(self, t, lines) -> np.ndarray:
-        """Line ids moved by E_t, the inverse-transpose action
-        [x, y, z]^t -> [x, y, z - t*y]^t; broadcasts like :meth:`apply_points`."""
-        ctx = self.ctx
-        lc = self.plane._coords[np.asarray(lines, dtype=np.int32)]
-        c = ctx.add_t[lc[..., 2], ctx.neg_t[ctx.mul_t[t, lc[..., 1]]]]
-        return self.plane.point_ids_vec(lc[..., 0], lc[..., 1], c)
-
 
 @dataclass(frozen=True)
 class OrbitSet:
@@ -82,12 +74,14 @@ class OrbitSet:
 def orbit_of_pedal(U: UnitalModel, pedal: PedalSet) -> OrbitSet:
     """Build the orbit, verifying along the way that translating the feet
     matches the feet of the translated base and that the pedals are disjoint.
-    All q elations are applied in one broadcast over a column of t values."""
+    All q elations are applied to the base and the feet in one broadcast over
+    a column of t values: column 0 holds the moved bases, the rest the feet
+    images."""
     group = ElationGroup(U)
     ts = np.arange(group.order, dtype=np.int32)[:, None]
-    moved_bases = group.apply_points(ts, [pedal.base])[:, 0]
-    fresh = feet_of_many(U, moved_bases)
-    images = np.sort(group.apply_points(ts, pedal.feet), axis=1)
+    moved = group.apply_points(ts, [pedal.base, *pedal.feet])
+    fresh = feet_of_many(U, moved[:, 0])
+    images = np.sort(moved[:, 1:], axis=1)
     differs = np.nonzero(np.any(images != fresh, axis=1))[0]
     if differs.size:
         raise TheoremViolation(
@@ -155,9 +149,10 @@ def orbit_incidence_stats(U: UnitalModel, orbit: OrbitSet) -> dict:
     plus regularity flags (a tactical configuration needs both)."""
     plane = U.plane
     pts = np.asarray(orbit.points, dtype=np.int32)
-    counts = plane.line_counts(pts)
+    rows = plane.incidence[pts]
+    counts = plane.line_counts(pts, rows=rows)
     sizes = counts[counts >= 2]
-    degrees = (counts[plane.incidence[pts]] >= 2).sum(axis=1)
+    degrees = (counts[rows] >= 2).sum(axis=1)
     size_dist = {int(s): int(c) for s, c in zip(*np.unique(sizes, return_counts=True))}
     degree_dist = {int(d): int(c) for d, c in zip(*np.unique(degrees, return_counts=True))}
     return {

@@ -166,9 +166,6 @@ class FieldCtx:
 
     # -- GF(q^2) scalar operations ----------------------------------------
 
-    def add(self, x, y):
-        return int(self.add_t[x, y])
-
     def sub(self, x, y):
         return int(self.add_t[x, self.neg_t[y]])
 
@@ -182,9 +179,6 @@ class FieldCtx:
         if x == 0:
             raise ZeroDivisionError("inverse of 0 in GF(q^2)")
         return int(self.inv_t[x])
-
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
 
     def pow(self, x, e: int):
         if x == 0:
@@ -240,15 +234,6 @@ class FieldCtx:
             return str(a)
         etxt = "e" if b == 1 else f"e*{b}"
         return etxt if a == 0 else f"{a}+{etxt}"
-
-    def parse_fq(self, text: str) -> int:
-        try:
-            a = int(text.strip())
-        except ValueError:
-            raise ParameterError(f"bad GF(q) element {text!r}") from None
-        if not 0 <= a < self.q:
-            raise ParameterError(f"GF(q) element {a} out of range 0..{self.q - 1}")
-        return a
 
     def parse_fq2(self, text: str) -> int:
         m = _FQ2_RE.match(text)

@@ -396,29 +396,23 @@ def conic_through(plane, points) -> Conic:
 class ConicFitResult:
     contained: bool
     conic: Conic | None
-    status: str  # "ok" | "degenerate" | "small"
+    status: str  # "ok" | "small"
     off_point: int | None = None
 
 
 def arc_in_conic(plane, arc) -> ConicFitResult:
-    """Fit a conic to the first five arc points (encoding order), sliding the
-    window past quintuples with four collinear points, then test the
-    remaining points.
+    """Fit the conic through the first five arc points (id order), then test
+    the remaining points.
 
-    Arcs with fewer than five points lie on some conic trivially.
+    Arcs with fewer than five points lie on some conic trivially.  An arc has
+    no three collinear points, so :func:`conic_through` accepts any five of
+    them; a set with four collinear points among its first five raises
+    DegenerateConfiguration.
     """
     ids = sorted(set(int(a) for a in arc))
     if len(ids) < 5:
         return ConicFitResult(contained=True, conic=None, status="small")
-    conic = None
-    for start in range(len(ids) - 4):
-        try:
-            conic = conic_through(plane, ids[start : start + 5])
-            break
-        except DegenerateConfiguration:
-            continue
-    if conic is None:
-        return ConicFitResult(contained=False, conic=None, status="degenerate")
+    conic = conic_through(plane, ids[:5])
     off = np.flatnonzero(~conic.contains_points(plane, ids))
     if off.size:
         return ConicFitResult(contained=False, conic=conic, status="ok", off_point=ids[off[0]])

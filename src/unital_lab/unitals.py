@@ -61,27 +61,21 @@ def validate_params(ctx: FieldCtx, alpha: int, beta: int) -> UnitalParams:
     )
 
 
-def valid_parameter_pairs(
-    ctx: FieldCtx, nonclassical_only: bool = False, alpha: int | None = None, beta: int | None = None
-) -> list[UnitalParams]:
-    """Every valid (alpha, beta), in ascending (alpha, beta) code order;
-    ``alpha``/``beta`` restrict the listing to that alpha row / beta column.
+def valid_parameter_pairs(ctx: FieldCtx, nonclassical_only: bool = False) -> list[UnitalParams]:
+    """Every valid (alpha, beta), in ascending (alpha, beta) code order.
 
     The listing is exhaustive on purpose: no quotient by equivalences is
-    attempted, so a sweep cannot miss a case.  ``verify`` and the scans do
-    their shared work once for the pairs (alpha, beta + c), c in GF(q),
-    which are one point set with one beta - conj(beta), but every pair's
-    points are still generated and compared, and it gets its own record.
+    attempted, so a caller cannot miss a case.  ``verify`` and the scans list
+    their pairs the same way, and do their shared work once for the pairs
+    (alpha, beta + c), c in GF(q), which are one point set with one
+    beta - conj(beta), but every pair's points are still generated and
+    compared, and it gets its own record.
     """
     codes = np.arange(ctx.q2, dtype=np.int32)
     disc = discriminant(ctx, codes[:, None], codes[None, :])
     valid = ~ctx.square_mask[disc]
     if nonclassical_only:
         valid[0, :] = False
-    if alpha is not None:
-        valid[codes != alpha, :] = False
-    if beta is not None:
-        valid[:, codes != beta] = False
     return [validate_params(ctx, a, b) for a, b in np.argwhere(valid).tolist()]
 
 
@@ -112,8 +106,8 @@ class UnitalModel:
         self.params: UnitalParams | None = params
         self.infinity_point: PointId = plane.infinity_point
         self.infinity_line: LineId = plane.infinity_line
-        # (point ids, x codes, r codes), aligned; affine points only
-        self.generators: tuple[np.ndarray, np.ndarray, np.ndarray] | None = generators
+        # the affine point ids in x-major (x, r) order: entry i is (x, r) = divmod(i, q)
+        self.generators: np.ndarray | None = generators
         # (line counts, tangents per point, touch array or None)
         self._line_stats: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None
 
@@ -129,10 +123,9 @@ class UnitalModel:
     def generating_pair(self, point: PointId) -> tuple[int, int]:
         """(x, r) with point = [x, alpha*x^2 + beta*N(x) + r, 1]; KeyError if none."""
         if self.generators is not None:
-            ids, xs, rs = self.generators
-            at = np.flatnonzero(ids == int(point))
+            at = np.flatnonzero(self.generators == int(point))
             if at.size:
-                return int(xs[at[0]]), int(rs[at[0]])
+                return divmod(int(at[0]), self.ctx.q)
         raise KeyError(int(point))
 
     # -- line statistics ------------------------------------------------------
@@ -219,7 +212,7 @@ class UnitalModel:
             add[mul[c_x[:, None], inv_u], mul[minus_r, inv_u]] + k * inv_u,
             k * k + add[c_x[:, None], minus_r],
         )
-        pts = np.append(self.generators[0], self.infinity_point)
+        pts = np.append(self.generators, self.infinity_point)
         lids = np.append(lids.ravel(), np.int32(self.infinity_line))
         return pts, lids
 
@@ -265,11 +258,6 @@ def unital_label(ctx: FieldCtx, params: UnitalParams | None, size: int) -> str:
     return f"UnitalModel[obm(alpha={alpha}, beta={beta}), {size} points]"
 
 
-def _generators(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
-    """(x codes, r codes) of every (x, r) in GF(q^2) x GF(q), x-major."""
-    return np.divmod(np.arange(ctx.q**3, dtype=np.int32), np.int32(ctx.q))
-
-
 def obm_point_ids(ctx: FieldCtx, alpha: int, betas) -> np.ndarray:
     """The ids of [x, alpha*x^2 + beta*N(x) + r, 1], one row of q^3 per beta,
     each in the x-major (x, r) order of a model's generators.
@@ -294,7 +282,7 @@ def build_obm_unital(ctx: FieldCtx, plane: ProjectivePlane, params: UnitalParams
     """The q^3 affine points of :func:`obm_point_ids`, its one-row case, plus [0,1,0]."""
     ids = obm_point_ids(ctx, params.alpha, [params.beta])[0]
     points = np.append(ids, plane.infinity_point)
-    model = UnitalModel(ctx, plane, points, params=params, generators=(ids, *_generators(ctx)))
+    model = UnitalModel(ctx, plane, points, params=params, generators=ids)
     # [0,1,0] is no image of an affine (x, r), so only a collision loses points
     expected = ctx.q**3 + 1
     if model.size != expected:

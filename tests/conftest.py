@@ -96,7 +96,7 @@ def foot_unital_r(model, lam, x) -> int:
     foot: r = lam*e + alpha*x^2 - conj(beta)*N(x), which must land in GF(q)."""
     ctx, p = model.ctx, model.params
     val = ctx.sub(
-        ctx.add(ctx.pack(0, lam), ctx.mul(p.alpha, ctx.mul(x, x))),
+        ctx.add_t[ctx.pack(0, lam), ctx.mul(p.alpha, ctx.mul(x, x))],
         ctx.mul(ctx.conj(p.beta), ctx.norm(x)),
     )
     re, im = ctx.unpack(val)

@@ -238,6 +238,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        id="scan-keeps-classical-pairs",
+        path="unital_lab/cli.py",
+        old="keep = (alphas != 0) & ~ctx.square_mask",
+        new="keep = ~ctx.square_mask",
+        tests=(
+            "tests/test_cli.py::test_scan_of_rows_without_a_nonclassical_unital_is_an_empty_report"
+            "[args0]",
+            "tests/test_cli.py::test_scan_of_rows_without_a_nonclassical_unital_is_an_empty_report"
+            "[args1]",
+        ),
+    ),
+    Mutant(
         id="refused-flag-top-level-usage",
         path="unital_lab/cli.py",
         old="_COMMAND_PARSERS[args.command].error(",

@@ -211,7 +211,7 @@ def _membership_forms(ctx, params, lam) -> dict[str, np.ndarray]:
         add[add[two_lam_eps, ax2], neg[mul[ctx.conj(params.alpha), mul[xbar, xbar]]]],
         mul[b_minus_bbar, ctx.norm_t[x]],
     ]
-    h = ctx.div(b_minus_bbar, ctx.scalar(2))
+    h = ctx.mul(b_minus_bbar, ctx.inv(ctx.scalar(2)))
     m_top = add[mul[params.alpha, x], mul[h, xbar]]
     m_bot = add[mul[h, x], mul[ctx.neg(ctx.conj(params.alpha)), xbar]]
     matrix = add[two_lam_eps, add[mul[x, m_top], mul[xbar, m_bot]]]

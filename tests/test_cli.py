@@ -650,8 +650,9 @@ def test_four_lines_reads_one_base_per_elation_orbit(q, alpha, geometry):
     ctx, plane = geometry(p, n)
     row = None if alpha is None else ctx.parse_fq2(alpha)
     classes = {}
-    for params in valid_parameter_pairs(ctx, nonclassical_only=True, alpha=row):
-        classes.setdefault((params.alpha, ctx.im(params.beta)), params)
+    for params in valid_parameter_pairs(ctx, nonclassical_only=True):
+        if row in (None, params.alpha):
+            classes.setdefault((params.alpha, ctx.im(params.beta)), params)
     assert len(classes) == {3: 4, 5: 36, 7: 3, 9: 4}[q]
     for params in classes.values():
         model = build_obm_unital(ctx, plane, params)
@@ -660,7 +661,7 @@ def test_four_lines_reads_one_base_per_elation_orbit(q, alpha, geometry):
         # covered bases, each once
         reps, covered = cli._scan_bases(model)
         images = sorted(
-            plane.point_id(x, ctx.add(y, ctx.mul(t, z)), z)
+            plane.point_id(x, ctx.add_t[y, ctx.mul(t, z)], z)
             for x, y, z in map(plane.coords, reps.tolist())
             for t in range(ctx.q)
         )

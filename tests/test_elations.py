@@ -93,7 +93,8 @@ def test_generator_check_covers_a_gf_p_basis_of_gf_q():
 def test_affine_action_and_translates(setup):
     ctx, plane, model, group = setup
     # [x, y, 1] -> [x, y + t, 1], staying in the unital (r -> r + t)
-    ids, xs, rs = model.generators
+    ids = model.generators
+    xs, rs = np.divmod(np.arange(ids.size), ctx.q)  # entry i is (x, r) = divmod(i, q)
     for t in range(group.order):
         for image, x, r in zip(group.apply_points(t, ids[:10]).tolist(), xs[:10], rs[:10]):
             xx, rr = model.generating_pair(image)
@@ -103,28 +104,23 @@ def test_affine_action_and_translates(setup):
         base = plane.point_id(0, ctx.pack(0, lam), 1)
         for t in range(group.order):
             assert group.apply_points(t, [base])[0] == plane.point_id(
-                0, ctx.add(ctx.pack(0, lam), t), 1
+                0, ctx.add_t[ctx.pack(0, lam), t], 1
             )
 
 
-def test_line_action_preserves_incidence(setup):
+def test_elations_map_the_points_of_a_line_onto_a_line(setup):
+    # E_t is a collineation: the q^2+1 points of a line go onto the points of
+    # the join of the images of two of them
     ctx, plane, model, group = setup
     rng = np.random.default_rng(4)
     ts = np.arange(group.order, dtype=np.int32)[:, None]
-    points = rng.integers(0, plane.size, size=40)
-    lines = rng.integers(0, plane.size, size=40)
-    moved_points, moved_lines = group.apply_points(ts, points), group.apply_lines(ts, lines)
-    for t in range(group.order):
-        for p, l, mp, ml in zip(points, lines, moved_points[t], moved_lines[t]):
-            assert plane.incident(int(p), int(l)) == plane.incident(int(mp), int(ml))
-        assert np.array_equal(moved_lines[t], group.apply_lines(t, lines))  # broadcast = one t
-    # every line through a point goes to a line through its image
-    for t in range(group.order):
-        for p in points.tolist():
-            image = group.apply_points(t, [p])[0]
-            assert np.array_equal(
-                np.sort(group.apply_lines(t, plane.lines_through(p))), plane.lines_through(image)
-            )
+    for line in rng.integers(0, plane.size, size=40).tolist():
+        on = plane.points_on(line)
+        moved = group.apply_points(ts, on)
+        for t in range(group.order):
+            assert np.array_equal(moved[t], group.apply_points(t, on))  # broadcast = one t
+            image = plane.join(int(moved[t, 0]), int(moved[t, 1]))
+            assert np.array_equal(np.sort(moved[t]), plane.points_on(image))
 
 
 def test_joining_point_to_image_passes_through_center(setup):
@@ -211,8 +207,8 @@ def test_partition_line_parameter_equation(setup):
         gamma = ctx.sub(s, lam_eps)
         lid = plane.line_id(0, ctx.neg(1), gamma)
         for y in ped.foot_params:
-            t_val = ctx.add(ctx.sub(gamma, lam_eps), ctx.neg(trace_value(model, y)))
-            t_re, t_im = ctx.unpack(ctx.add(gamma, ctx.sub(lam_eps, trace_value(model, y))))
+            t_val = ctx.add_t[ctx.sub(gamma, lam_eps), ctx.neg(trace_value(model, y))]
+            t_re, t_im = ctx.unpack(ctx.add_t[gamma, ctx.sub(lam_eps, trace_value(model, y))])
             # gamma + lam*e - T(alpha y^2) lands in GF(q)
             assert t_im == 0
             moved = group.apply_points(t_re, [ped.param_point[y]])[0]

@@ -148,15 +148,15 @@ def test_field_axioms_exhaustive_q3():
     ctx = get_ctx(3, 1)
     els = list(range(ctx.q2))
     for x in els:
-        assert ctx.add(x, 0) == x and ctx.mul(x, 1) == x
-        assert ctx.add(x, ctx.neg(x)) == 0
+        assert ctx.add_t[x, 0] == x and ctx.mul(x, 1) == x
+        assert ctx.add_t[x, ctx.neg(x)] == 0
         if x:
             assert ctx.mul(x, ctx.inv(x)) == 1
         for y in els:
-            assert ctx.add(x, y) == ctx.add(y, x)
+            assert ctx.add_t[x, y] == ctx.add_t[y, x]
             assert ctx.mul(x, y) == ctx.mul(y, x)
             for z in els:
-                assert ctx.mul(x, ctx.add(y, z)) == ctx.add(ctx.mul(x, y), ctx.mul(x, z))
+                assert ctx.mul(x, ctx.add_t[y, z]) == ctx.add_t[ctx.mul(x, y), ctx.mul(x, z)]
                 assert ctx.mul(x, ctx.mul(y, z)) == ctx.mul(ctx.mul(x, y), z)
 
 
@@ -164,14 +164,14 @@ def test_subfield_embeds_as_im_zero():
     ctx = get_ctx(5, 1)
     for a in ctx.subfield_elements():
         for b in ctx.subfield_elements():
-            assert ctx.add(a, b) == ctx.qadd(a, b)
+            assert ctx.add_t[a, b] == ctx.qadd(a, b)
             assert ctx.mul(a, b) == ctx.qmul(a, b)
 
 
 def test_division_errors():
     ctx = get_ctx(3, 1)
     with pytest.raises(ZeroDivisionError):
-        ctx.div(1, 0)
+        ctx.inv(0)
     with pytest.raises(ZeroDivisionError):
         ctx.qdiv(1, 0)
     with pytest.raises(ZeroDivisionError):
@@ -211,7 +211,7 @@ def test_trace_norm_land_in_subfield(q):
     assert np.all(ctx.norm_t[codes] < ctx.q)
     # trace/norm via their definitions
     for x in range(0, ctx.q2, 3):
-        assert ctx.trace(x) == ctx.add(x, ctx.conj(x))
+        assert ctx.trace(x) == ctx.add_t[x, ctx.conj(x)]
         assert ctx.norm(x) == ctx.mul(x, ctx.conj(x))
 
 
@@ -219,7 +219,7 @@ def test_trace_linear_norm_multiplicative():
     ctx = get_ctx(3, 1)
     for x in range(ctx.q2):
         for y in range(ctx.q2):
-            assert ctx.trace(ctx.add(x, y)) == ctx.qadd(ctx.trace(x), ctx.trace(y))
+            assert ctx.trace(ctx.add_t[x, y]) == ctx.qadd(ctx.trace(x), ctx.trace(y))
             assert ctx.norm(ctx.mul(x, y)) == ctx.qmul(ctx.norm(x), ctx.norm(y))
     # vectorized identity on a bigger field
     ctx9 = get_ctx(3, 2)
@@ -309,11 +309,9 @@ def test_gf_q2_matches_galoistools_quotient(q):
     }
     for x in range(ctx.q2):
         for y in range(1, ctx.q2):
-            assert ctx.div(x, y) == mul[x, inv[y]]
+            assert ctx.mul(x, ctx.inv(y)) == mul[x, inv[y]]
         for e in (0, 1, 2, ctx.q, ctx.q2 - 2):
             assert ctx.pow(x, e) == _code(gf_pow_mod(polys[x], e, modulus, q, ZZ), q)
-    with pytest.raises(ZeroDivisionError):
-        ctx.div(1, 0)
     with pytest.raises(ZeroDivisionError):
         ctx.inv(0)
 
@@ -342,5 +340,3 @@ def test_parser_rejects_garbage():
     for bad in ["", "x", "3", "1+e*3", "e*e", "2+2", "-1"]:
         with pytest.raises(ParameterError):
             ctx.parse_fq2(bad)
-    with pytest.raises(ParameterError):
-        ctx.parse_fq("5")

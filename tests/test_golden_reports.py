@@ -1,5 +1,6 @@
 """Golden report bytes: the sha256 of every command's stdout at q = 3, one CSV
-projection, single-tuple and single-alpha-row reports at q = 5, one conics
+projection, a named-pair scan at q = 3, single-tuple, single-alpha-row and
+one beta-column reports at q = 5, one conics
 alpha row at q = 7, and one alpha row of each scan at q = 9 and of verify at
 q = 13.
 
@@ -50,6 +51,12 @@ GOLDEN = {
         "4d4016b4c1c3ac23285c55cb909a17476323630359c19ee30b3fd9e705f32d7a",
     "pedal --p 5 --n 1 --alpha 1 --beta e --point 1,1,1":
         "e5b33ae36f83fce150753c423918b1c30b07535decc6a281af0fe79f2a8926c8",
+    # a beta column and a named pair: the two listings that restrict the pairs
+    # without naming an alpha row alone
+    "scan --p 5 --n 1 --beta e --problem conics":
+        "4051f3c8b97c7e68c76472efc4f7783ad1f1a7a7f8db2d333193b81c6e27ecdb",
+    "scan --p 3 --n 1 --alpha 1+e --beta 0 --problem four-lines":
+        "add51dceeaa32c1c134257cc880948007369b79e7c553503501d9d62ce8e8e3f",
     "scan --p 5 --n 1 --alpha 1 --problem conics":
         "77e4b165ce8469f3985f4352b4a566c16bc91360351c5c293d8277e42c92b098",
     "scan --p 5 --n 1 --alpha 1 --problem orbit-census":

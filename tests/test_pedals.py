@@ -155,7 +155,7 @@ def test_foot_parameters_are_the_x_of_the_brute_force_feet(q5_model):
     ctx, plane, model = q5_model
     for lam in (1, ctx.w):
         feet = brute_feet(model, canonical_base_point(model, lam))
-        xs = sorted(ctx.div(a, c) for a, _, c in map(plane.coords, feet))
+        xs = sorted(ctx.mul(a, ctx.inv(c)) for a, _, c in map(plane.coords, feet))
         assert foot_parameters(model, lam).tolist() == xs
 
 
@@ -175,10 +175,8 @@ def test_foot_r_values(q3_model):
         for x in closed.foot_params:
             r = foot_unital_r(model, lam, x)
             assert r == foot_unital_r(model, lam, ctx.neg(x))  # same r for x and -x
-            y = ctx.add(
-                ctx.add(ctx.mul(params.alpha, ctx.mul(x, x)), ctx.mul(params.beta, ctx.norm(x))),
-                r,
-            )
+            s = ctx.add_t[ctx.mul(params.alpha, ctx.mul(x, x)), ctx.mul(params.beta, ctx.norm(x))]
+            y = ctx.add_t[s, r]
             assert plane.point_id(x, y, 1) == closed.param_point[x]
 
 
@@ -300,10 +298,9 @@ def test_general_chord_formula(q5_model):
             coeffs = (
                 ctx.qsub(tx, ty),
                 ctx.sub(y, x),
-                ctx.add(
-                    ctx.sub(ctx.mul(x, ty), ctx.mul(y, tx)),
-                    ctx.mul(ctx.sub(y, x), lam_eps),
-                ),
+                ctx.add_t[
+                    ctx.sub(ctx.mul(x, ty), ctx.mul(y, tx)), ctx.mul(ctx.sub(y, x), lam_eps)
+                ],
             )
             assert plane.line_id(*coeffs) == plane.join(
                 closed.param_point[x], closed.param_point[y]
@@ -495,7 +492,7 @@ def _form_at(ctx, coeffs, point):
     x, y, z = point
     total = 0
     for c, (u, v) in zip(coeffs, ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z))):
-        total = ctx.add(total, ctx.mul(c, ctx.mul(u, v)))
+        total = ctx.add_t[total, ctx.mul(c, ctx.mul(u, v))]
     return total
 
 
@@ -560,6 +557,15 @@ def test_arc_in_conic():
     assert not fit2.contained and fit2.off_point is not None
     # tiny arcs are trivially inside a conic
     assert arc_in_conic(plane, parabola[:4]).status == "small"
+
+
+def test_arc_in_conic_refuses_four_collinear_points():
+    # no unique conic passes through five points with four on one line; an
+    # arc never has three collinear points
+    ctx, plane = get_geometry(5, 1)
+    pts4 = [plane.point_id(t, 0, 1) for t in range(4)] + [plane.point_id(0, 1, 1)]
+    with pytest.raises(DegenerateConfiguration):
+        arc_in_conic(plane, pts4)
 
 
 def test_arc_in_conic_on_pedal_arcs(q5_model):

